@@ -121,32 +121,46 @@ def _capacities_arg(args, p):
     return None
 
 
+def _aux_arg(args, p):
+    """The aux spec a check/improve/example1 report solves with, or None."""
+    if args.bound_command == "example1":
+        if args.improved == "gk":
+            return example1_aux()
+        if args.improved:
+            raise DomainError(f"unknown improvement mode {args.improved!r}")
+        return None
+    if args.bound_command == "check":
+        return None
+    if getattr(args, "aux", None):
+        aux = load_aux_spec(args.aux)
+        args.digests[args.aux] = _digest(args.aux)
+        return aux
+    aux, _ = pairwise_aux_for_network(p, "gk")
+    return aux
+
+
+def _lp_report(args, sys_) -> dict:
+    res = solve_feasibility(sys_)
+    if isinstance(res, Feasible):
+        return _base_report(
+            args,
+            "Feasible (tuple may be achievable)",
+            witness=_witness_json(res.witness),
+            verified=verify_certificate(sys_, res),
+        )
+    return _base_report(
+        args,
+        "Infeasible (tuple is not achievable)",
+        certificate=_certificate_json(res.certificate, sys_),
+        verified=verify_certificate(sys_, res),
+    )
+
+
 def _run_bound(args) -> dict:
     p = _load_problem_arg(args)
     C = _capacities_arg(args, p)
-    if args.bound_command == "check" or args.bound_command == "improve":
-        aux = None
-        if args.bound_command == "improve":
-            if getattr(args, "aux", None):
-                aux = load_aux_spec(args.aux)
-                args.digests[args.aux] = _digest(args.aux)
-            else:
-                aux, _ = pairwise_aux_for_network(p, "gk")
-        sys_ = build_lp_constraints(p, C, aux=aux)
-        res = solve_feasibility(sys_)
-        if isinstance(res, Feasible):
-            return _base_report(
-                args,
-                "Feasible (tuple may be achievable)",
-                witness=_witness_json(res.witness),
-                verified=verify_certificate(sys_, res),
-            )
-        return _base_report(
-            args,
-            "Infeasible (tuple is not achievable)",
-            certificate=_certificate_json(res.certificate, sys_),
-            verified=verify_certificate(sys_, res),
-        )
+    if args.bound_command in ("check", "improve", "example1"):
+        return _lp_report(args, build_lp_constraints(p, C, aux=_aux_arg(args, p)))
     if args.bound_command == "cutset":
         res = cutset_check(p, C)
         if isinstance(res, FailsCutset):
@@ -281,35 +295,6 @@ def _run_dump_lp(args) -> dict:
     )
 
 
-def _run_example1(args) -> dict:
-    args.problem = None
-    args.bound_command = "improve" if args.improved else "check"
-    args.aux = None
-    p = example1_problem()
-    args.digests = {}
-    C = _capacities_arg(args, p)
-    aux = None
-    if args.improved == "gk":
-        aux = example1_aux()
-    elif args.improved:
-        raise DomainError(f"unknown improvement mode {args.improved!r}")
-    sys_ = build_lp_constraints(p, C, aux=aux)
-    res = solve_feasibility(sys_)
-    if isinstance(res, Feasible):
-        return _base_report(
-            args,
-            "Feasible (tuple may be achievable)",
-            witness=_witness_json(res.witness),
-            verified=verify_certificate(sys_, res),
-        )
-    return _base_report(
-        args,
-        "Infeasible (tuple is not achievable)",
-        certificate=_certificate_json(res.certificate, sys_),
-        verified=verify_certificate(sys_, res),
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entrolab",
@@ -369,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex = sub.add_parser("example1", help="run the bundled instance")
     ex.add_argument("--capacities", default="1,1,1,1")
     ex.add_argument("--improved", nargs="?", const="gk", default=None)
-    ex.set_defaults(run=_run_example1)
+    ex.set_defaults(run=_run_bound, bound_command="example1")
     return parser
 
 

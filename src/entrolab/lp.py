@@ -1,10 +1,11 @@
 """Exact rational linear feasibility/optimization over entropy coordinates.
 
 The decision path is exact: every returned witness or certificate is
-re-derivable by rational arithmetic. A floating-point warm start
-(scipy/HiGHS) merely *suggests* an active set or a Farkas support; the
-suggestion is then solved and verified exactly, and on any mismatch we
-fall back to the pure exact simplex in ``_simplex``.
+re-derivable by rational arithmetic. A floating-point warm start (one
+sparse scipy/HiGHS solve) merely *suggests* a point or a Farkas support;
+the suggestion is then solved by sparse exact elimination and verified,
+and on any mismatch we fall back to the pure exact simplex in
+``_simplex``.
 
 Certificate convention (Farkas): a map constraint-index -> multiplier
 lam with lam_i >= 0 on ">=" rows, lam_i <= 0 on "<=" rows, free on "=="
@@ -106,7 +107,10 @@ class Unbounded:
 
 
 class _Canon:
-    """Dense column-indexed view of a system, after redundancy pre-pass."""
+    """Sparse column-indexed view of a system, after redundancy pre-pass.
+
+    ``rows[k]`` is ``(terms, rel, rhs)`` for the constraint
+    ``row_index[k]``, with ``terms`` its ``(column, coefficient)`` pairs."""
 
     def __init__(self, sys: LinearSystem, objective: LinearFunctional | None):
         masks = set()
@@ -161,17 +165,14 @@ class _Canon:
                 lam = -ONE
             self.conflict = Infeasible({trivial_bad: lam})
         self.row_index = sorted(kept)
-        self.rows = []
-        for idx in self.row_index:
-            c = sys.constraints[idx]
-            dense = [ZERO] * len(self.cols)
-            for m, v in c.functional.terms:
-                dense[self.col_index[m]] = v
-            self.rows.append((dense, c.relation, c.rhs))
-        self.objective_dense = [ZERO] * len(self.cols)
-        if objective is not None:
-            for m, v in objective.terms:
-                self.objective_dense[self.col_index[m]] = v
+        self.rows = [
+            (self._terms(c.functional), c.relation, c.rhs)
+            for c in (sys.constraints[idx] for idx in self.row_index)
+        ]
+        self.objective = self._terms(objective) if objective is not None else ()
+
+    def _terms(self, functional: LinearFunctional) -> tuple:
+        return tuple((self.col_index[m], v) for m, v in functional.terms)
 
     def _equality_conflict(self, i: int, j: int) -> Infeasible:
         a = self.sys.constraints[i]
@@ -183,6 +184,12 @@ class _Canon:
         sign = ONE if gap > 0 else -ONE
         return Infeasible({i: sign / sa, j: -sign / sb})
 
+    def dense(self, terms) -> list:
+        out = [ZERO] * len(self.cols)
+        for j, v in terms:
+            out[j] = v
+        return out
+
     def witness_from(self, x: Sequence) -> EntropyVector:
         values = {m: rational(v) for m, v in zip(self.cols, x)}
         return EntropyVector(self.sys.ground, values, exact=True)
@@ -191,55 +198,57 @@ class _Canon:
         return {self.row_index[i]: rational(v) for i, v in lam.items() if v != 0}
 
 
-# --- exact linear algebra helpers ---------------------------------------------
+# --- exact linear algebra --------------------------------------------------------
 
 
 def _anchored_solve(rows, rhs, anchor):
-    """One exact solution of ``rows @ x = rhs`` with free columns pinned
-    to ``anchor`` values; returns None if inconsistent."""
-    n = len(anchor)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    """One exact solution of the sparse system ``rows[k] . x = rhs[k]``
+    (each row a dict column -> coefficient), with the columns the
+    elimination leaves free pinned to their ``anchor`` values; returns
+    None if the system is inconsistent.
+
+    Gaussian elimination that pivots on the sparsest remaining row and,
+    within it, on the column the fewest remaining rows use, which keeps
+    the fill-in of these near-triangular systems small."""
+    rows = [{j: v for j, v in r.items() if v != 0} for r in rows]
+    rhs = list(rhs)
+    users: dict[int, set] = {}
+    for k, row in enumerate(rows):
+        for j in row:
+            users.setdefault(j, set()).add(k)
+    live = set(range(len(rows)))
     pivots: list[tuple[int, int]] = []  # (row, col)
-    r = 0
-    for _ in range(len(aug)):
-        if r >= len(aug):
-            break
-        # next pivot: first row at/under r with a nonzero in a fresh column
-        placed = False
-        for i in range(r, len(aug)):
-            row = aug[i]
-            col = next((j for j in range(n) if row[j] != 0), None)
-            if col is None:
-                if row[n] != 0:
-                    return None
-                continue
-            aug[r], aug[i] = aug[i], aug[r]
-            row = aug[r]
-            inv = ONE / row[col]
-            aug[r] = row = [v * inv for v in row]
-            for k in range(len(aug)):
-                if k != r and aug[k][col] != 0:
-                    f = aug[k][col]
-                    aug[k] = [a - f * b for a, b in zip(aug[k], row)]
-            pivots.append((r, col))
-            r += 1
-            placed = True
-            break
-        if not placed:
-            break
-    for i in range(r, len(aug)):
-        if any(v != 0 for v in aug[i][:n]):
-            continue  # unreachable: rows below r are fully reduced
-        if aug[i][n] != 0:
-            return None
+    while live:
+        k = min(live, key=lambda i: (len(rows[i]), i))
+        live.remove(k)
+        row = rows[k]
+        if not row:
+            if rhs[k] != 0:
+                return None
+            continue
+        for j in row:
+            users[j].discard(k)
+        col = min(row, key=lambda j: (len(users[j]), j))
+        inv = ONE / row[col]
+        for i in tuple(users[col]):
+            other = rows[i]
+            f = other[col] * inv
+            for j, v in row.items():
+                w = other.get(j, ZERO) - f * v
+                if w != 0:
+                    if j not in other:
+                        users[j].add(i)
+                    other[j] = w
+                elif j in other:
+                    del other[j]
+                    users[j].discard(i)
+            rhs[i] -= f * rhs[k]
+        pivots.append((k, col))
     x = list(anchor)
-    pivot_cols = {c for _, c in pivots}
-    for row_i, col in pivots:
-        row = aug[row_i]
-        x[col] = row[n] - sum(
-            (row[j] * x[j] for j in range(n) if j != col and j not in pivot_cols and row[j] != 0),
-            ZERO,
-        )
+    for k, col in reversed(pivots):
+        row = rows[k]
+        rest = sum((v * x[j] for j, v in row.items() if j != col), ZERO)
+        x[col] = (rhs[k] - rest) / row[col]
     return x
 
 
@@ -247,46 +256,13 @@ def _rationalize(values, max_den=_ANCHOR_DEN):
     return [rational(Fraction(float(v)).limit_denominator(max_den)) for v in values]
 
 
-# --- floating-point warm start -------------------------------------------------
-
-
-def _float_stage(canon: _Canon, objective=None):
-    import numpy as np
-    from scipy.optimize import linprog
-
-    n = len(canon.cols)
-    a_ub, b_ub, ub_idx = [], [], []
-    a_eq, b_eq, eq_idx = [], [], []
-    for i, (dense, rel, rhs) in enumerate(canon.rows):
-        coeffs = [float(v) for v in dense]
-        if rel == EQ:
-            a_eq.append(coeffs)
-            b_eq.append(float(rhs))
-            eq_idx.append(i)
-        elif rel == LE:
-            a_ub.append(coeffs)
-            b_ub.append(float(rhs))
-            ub_idx.append(i)
-        else:
-            a_ub.append([-v for v in coeffs])
-            b_ub.append(-float(rhs))
-            ub_idx.append(i)
-    c = [float(v) for v in (objective or [0] * n)]
-    res = linprog(
-        c,
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=(None, None),
-        method="highs",
-    )
-    return res, ub_idx, eq_idx
+def _row_dot(terms, x):
+    return sum((v * x[j] for j, v in terms), ZERO)
 
 
 def _verify_point(canon: _Canon, x) -> bool:
-    for dense, rel, rhs in canon.rows:
-        lhs = sum((a * v for a, v in zip(dense, x) if a != 0), ZERO)
+    for terms, rel, rhs in canon.rows:
+        lhs = _row_dot(terms, x)
         if rel == GE and lhs < rhs:
             return False
         if rel == LE and lhs > rhs:
@@ -296,6 +272,125 @@ def _verify_point(canon: _Canon, x) -> bool:
     return True
 
 
+def _check_multipliers(canon: _Canon, lam: Mapping[int, object], target, value) -> bool:
+    """``lam`` has the public signs, ``sum lam_i a_i`` equals the sparse
+    ``target`` terms and ``sum lam_i b_i`` equals ``value``."""
+    combo: dict[int, object] = {}
+    total = ZERO
+    for i, mult in lam.items():
+        terms, rel, rhs = canon.rows[i]
+        if (rel == GE and mult < 0) or (rel == LE and mult > 0):
+            return False
+        for j, v in terms:
+            combo[j] = combo.get(j, ZERO) + mult * v
+        total += mult * rhs
+    for j, v in target:
+        combo[j] = combo.get(j, ZERO) - v
+    return all(v == 0 for v in combo.values()) and total == value
+
+
+def _exact_multipliers(canon: _Canon, lam_float, target, value):
+    """Exactify float row multipliers: solve ``sum lam_i a_i = target``,
+    ``sum lam_i b_i = value`` over their support, anchored at the
+    rationalized floats, and check the result; None on a miss."""
+    support = [i for i, v in enumerate(lam_float) if abs(v) > _SUPPORT_TOL]
+    if not support:
+        return None
+    eqs: dict[int, dict] = {j: {} for j, _ in target}
+    for k, i in enumerate(support):
+        for j, v in canon.rows[i][0]:
+            eqs.setdefault(j, {})[k] = v
+    goal = dict(target)
+    cols = sorted(eqs)
+    sys_rows = [eqs[j] for j in cols]
+    sys_rhs = [goal.get(j, ZERO) for j in cols]
+    sys_rows.append({k: canon.rows[i][2] for k, i in enumerate(support)})
+    sys_rhs.append(value)
+    anchor = _rationalize([lam_float[i] for i in support])
+    lam_exact = _anchored_solve(sys_rows, sys_rhs, anchor)
+    if lam_exact is None:
+        return None
+    lam = {i: v for i, v in zip(support, lam_exact) if v != 0}
+    if lam and _check_multipliers(canon, lam, target, value):
+        return lam
+    return None
+
+
+# --- floating-point warm start ---------------------------------------------------
+
+
+def _highs(canon: _Canon, objective=None, elastic=False):
+    """One HiGHS solve over CSR matrices built from the sparse rows.
+
+    ``GE`` rows are negated into ``A_ub``. With ``elastic`` the LP is the
+    phase-1 problem that minimises total violation: every inequality row
+    gets a slack ``s >= 0`` and every equality row a pair ``p - q``, so it
+    is always feasible and its optimum is 0 exactly when the system is.
+    Returns the ``linprog`` result, its x restricted to the original
+    columns, and the row multipliers in the public sign convention (for
+    a feasible system, the duals of the objective solve; for an elastic
+    solve with positive optimum, a Farkas candidate)."""
+    import numpy as np
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    n = len(canon.cols)
+    ub = [i for i, (_, rel, _) in enumerate(canon.rows) if rel != EQ]
+    eq = [i for i, (_, rel, _) in enumerate(canon.rows) if rel == EQ]
+    flip = {GE: -1.0, LE: 1.0, EQ: 1.0}
+
+    def block(idx):
+        data, cols, ptr = [], [], [0]
+        for i in idx:
+            terms, rel, _ = canon.rows[i]
+            s = flip[rel]
+            for j, v in terms:
+                cols.append(j)
+                data.append(s * float(v))
+            ptr.append(len(data))
+        a = sparse.csr_matrix((data, cols, ptr), shape=(len(idx), n))
+        b = np.array([flip[canon.rows[i][1]] * float(canon.rows[i][2]) for i in idx])
+        return a, b
+
+    a_ub, b_ub = block(ub)
+    a_eq, b_eq = block(eq)
+    if elastic:
+        nu, ne = len(ub), len(eq)
+        eye_e = sparse.identity(ne, format="csr")
+        a_ub = sparse.hstack(
+            [a_ub, -sparse.identity(nu), sparse.csr_matrix((nu, 2 * ne))], format="csr"
+        )
+        a_eq = sparse.hstack(
+            [a_eq, sparse.csr_matrix((ne, nu)), eye_e, -eye_e], format="csr"
+        )
+        nslack = nu + 2 * ne
+        c = np.concatenate([np.zeros(n), np.ones(nslack)])
+        bounds = [(None, None)] * n + [(0, None)] * nslack
+    else:
+        c = np.zeros(n)
+        for j, v in objective or ():
+            c[j] = float(v)
+        bounds = (None, None)
+    res = linprog(
+        c,
+        A_ub=a_ub if ub else None,
+        b_ub=b_ub if ub else None,
+        A_eq=a_eq if eq else None,
+        b_eq=b_eq if eq else None,
+        bounds=bounds,
+        method="highs",
+    )
+    if res.status != 0:
+        return res, None, None
+    # marginals are d(objective)/d(rhs as passed); undo the GE negation
+    lam = [0.0] * len(canon.rows)
+    for i, m in zip(ub, res.ineqlin.marginals):
+        lam[i] = flip[canon.rows[i][1]] * float(m)
+    for i, m in zip(eq, res.eqlin.marginals):
+        lam[i] = float(m)
+    return res, list(res.x[:n]), lam
+
+
 def _exact_point_from_float(canon: _Canon, x_float):
     """Exactify a float point: solve the active rows exactly, anchored at
     the rationalized float solution, then verify everything."""
@@ -303,115 +398,58 @@ def _exact_point_from_float(canon: _Canon, x_float):
     if _verify_point(canon, anchor):
         return anchor
     active_rows, active_rhs = [], []
-    for dense, rel, rhs in canon.rows:
-        if rel == EQ:
-            active_rows.append(dense)
-            active_rhs.append(rhs)
-    for dense, rel, rhs in canon.rows:
+    for terms, rel, rhs in canon.rows:
         if rel != EQ:
-            resid = float(rhs) - sum(
-                float(a) * x_float[j] for j, a in enumerate(dense) if a != 0
-            )
-            if abs(resid) < _ACTIVE_TOL:
-                active_rows.append(dense)
-                active_rhs.append(rhs)
+            resid = float(rhs) - sum(float(v) * x_float[j] for j, v in terms)
+            if abs(resid) >= _ACTIVE_TOL:
+                continue
+        active_rows.append(dict(terms))
+        active_rhs.append(rhs)
     x = _anchored_solve(active_rows, active_rhs, anchor)
     if x is not None and _verify_point(canon, x):
         return x
     return None
 
 
-def _farkas_rows(canon: _Canon):
-    """Rows oriented for the public multiplier convention (see module doc)."""
-    out = []
-    for dense, rel, rhs in canon.rows:
-        out.append((dense, rel, rhs))
-    return out
+# --- public operations ----------------------------------------------------------
 
 
-def _exact_farkas_from_float(canon: _Canon):
-    """Find a Farkas certificate: float dual ray (L1-minimized for a small
-    support), then exact anchored solve on the support, then verification."""
-    import numpy as np
-    from scipy.optimize import linprog
-    from scipy.sparse import lil_matrix
-
-    rows = _farkas_rows(canon)
-    m = len(rows)
-    ncols = len(canon.cols)
-    # variables: z_i >= 0 per row; eq rows get a second (negative) part.
-    var_rows = []  # (row index, sign of lam contribution)
-    for i, (_, rel, _) in enumerate(rows):
-        var_rows.append((i, 1 if rel != LE else -1))
-    for i, (_, rel, _) in enumerate(rows):
-        if rel == EQ:
-            var_rows.append((i, -1))
-    nv = len(var_rows)
-    a_eq = lil_matrix((ncols + 1, nv))
-    for v, (i, sgn) in enumerate(var_rows):
-        dense, _, rhs = rows[i]
-        for j, coeff in enumerate(dense):
-            if coeff != 0:
-                a_eq[j, v] = sgn * float(coeff)
-        a_eq[ncols, v] = sgn * float(rhs)
-    b_eq = np.zeros(ncols + 1)
-    b_eq[ncols] = 1.0  # normalize sum lam_i * b_i = 1
-    res = linprog(
-        np.ones(nv),
-        A_eq=a_eq.tocsr(),
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-    )
-    if not res.success:
+def _elastic_verdict(canon: _Canon):
+    """One elastic HiGHS solve made exact: Feasible, Infeasible, or None
+    when the float answer cannot be reconstructed."""
+    res, x_float, lam_float = _highs(canon, elastic=True)
+    if x_float is None:
         return None
-    lam_float = [0.0] * m
-    for v, (i, sgn) in enumerate(var_rows):
-        lam_float[i] += sgn * res.x[v]
-    support = [i for i in range(m) if abs(lam_float[i]) > _SUPPORT_TOL]
-    if not support:
-        return None
-    # Exact system over the support: zero out every touched column and
-    # normalize the rhs combination to 1.
-    touched = sorted(
-        {j for i in support for j, v in enumerate(rows[i][0]) if v != 0}
-    )
-    sys_rows = []
-    sys_rhs = []
-    for j in touched:
-        sys_rows.append([rows[i][0][j] for i in support])
-        sys_rhs.append(ZERO)
-    sys_rows.append([rows[i][2] for i in support])
-    sys_rhs.append(ONE)
-    anchor = _rationalize([lam_float[i] for i in support])
-    lam_exact = _anchored_solve(sys_rows, sys_rhs, anchor)
-    if lam_exact is None:
-        return None
-    lam = {i: v for i, v in zip(support, lam_exact) if v != 0}
-    if _check_farkas(rows, lam):
-        return lam
+    if res.fun <= _ACTIVE_TOL:
+        x = _exact_point_from_float(canon, x_float)
+        if x is not None:
+            return Feasible(canon.witness_from(x))
+    if res.fun > 0:
+        # the duals satisfy sum lam_i b_i = violation; rescale that sum
+        # to 1 so the anchor agrees with the normalisation solved for
+        total = sum(v * float(canon.rows[i][2]) for i, v in enumerate(lam_float) if v)
+        if total > 0:
+            lam = _exact_multipliers(canon, [v / total for v in lam_float], (), ONE)
+            if lam is not None:
+                return Infeasible(canon.multipliers_from_dict(lam))
     return None
 
 
-def _check_farkas(rows, lam: Mapping[int, object]) -> bool:
-    if not lam:
-        return False
-    combo: dict[int, object] = {}
-    total = ZERO
-    for i, mult in lam.items():
-        dense, rel, rhs = rows[i]
-        if rel == GE and mult < 0:
-            return False
-        if rel == LE and mult > 0:
-            return False
-        for j, v in enumerate(dense):
-            if v != 0:
-                combo[j] = combo.get(j, ZERO) + mult * v
-        total += mult * rhs
-    return all(v == 0 for v in combo.values()) and total > 0
-
-
-# --- public operations ----------------------------------------------------------
+def _exact_fallback(canon: _Canon, optimize: bool = False):
+    """The dense exact simplex; the only place rows are built 2^n wide."""
+    rows = [(canon.dense(terms), rel, rhs) for terms, rel, rhs in canon.rows]
+    result = simplex_solve(len(canon.cols), rows, objective=canon.dense(canon.objective))
+    lam = {i: v for i, v in enumerate(result.duals or ()) if v != 0}
+    if result.status == "infeasible":
+        return Infeasible(canon.multipliers_from_dict(lam))
+    if result.status == "unbounded":
+        ray = {m: v for m, v in zip(canon.cols, result.ray) if v != 0}
+        return Unbounded(canon.witness_from(result.x), ray)
+    if not optimize:
+        return Feasible(canon.witness_from(result.x))
+    return Optimal(
+        result.value, canon.witness_from(result.x), canon.multipliers_from_dict(lam)
+    )
 
 
 def solve_feasibility(sys: LinearSystem, warm_start: bool = True):
@@ -421,24 +459,8 @@ def solve_feasibility(sys: LinearSystem, warm_start: bool = True):
         return canon.conflict
     if not canon.rows:
         return Feasible(canon.witness_from([ZERO] * len(canon.cols)))
-    if warm_start:
-        try:
-            res, _, _ = _float_stage(canon)
-        except Exception:
-            res = None
-        if res is not None and res.status == 0:
-            x = _exact_point_from_float(canon, list(res.x))
-            if x is not None:
-                return Feasible(canon.witness_from(x))
-        elif res is not None and res.status == 2:
-            lam = _exact_farkas_from_float(canon)
-            if lam is not None:
-                return Infeasible(canon.multipliers_from_dict(lam))
-    result = simplex_solve(len(canon.cols), canon.rows)
-    if result.status == "infeasible":
-        lam = {i: v for i, v in enumerate(result.duals) if v != 0}
-        return Infeasible(canon.multipliers_from_dict(lam))
-    return Feasible(canon.witness_from(result.x))
+    verdict = _elastic_verdict(canon) if warm_start else None
+    return verdict or _exact_fallback(canon)
 
 
 def minimize(sys: LinearSystem, objective: LinearFunctional | None = None):
@@ -449,94 +471,25 @@ def minimize(sys: LinearSystem, objective: LinearFunctional | None = None):
     canon = _Canon(sys, objective)
     if canon.conflict is not None:
         return canon.conflict
-    try:
-        res, _, _ = _float_stage(canon, objective=canon.objective_dense)
-    except Exception:
-        res = None
-    if res is not None and res.status == 2:
-        lam = _exact_farkas_from_float(canon)
-        if lam is not None:
-            return Infeasible(canon.multipliers_from_dict(lam))
-    if res is not None and res.status == 3:
+    res, x_float, lam_float = _highs(canon, objective=canon.objective)
+    if res.status == 2:
+        verdict = _elastic_verdict(canon)
+        if isinstance(verdict, Infeasible):
+            return verdict
+    if res.status == 3:
         unb = _exact_unbounded(canon, objective)
         if unb is not None:
             return unb
-    if res is not None and res.status == 0:
-        opt = _exact_optimal_from_float(canon, res)
-        if opt is not None:
-            return opt
-    result = simplex_solve(len(canon.cols), canon.rows, objective=canon.objective_dense)
-    if result.status == "infeasible":
-        lam = {i: v for i, v in enumerate(result.duals) if v != 0}
-        return Infeasible(canon.multipliers_from_dict(lam))
-    if result.status == "unbounded":
-        ray = {m: v for m, v in zip(canon.cols, result.ray) if v != 0}
-        return Unbounded(canon.witness_from(result.x), ray)
-    lam = {i: v for i, v in enumerate(result.duals) if v != 0}
-    return Optimal(
-        result.value, canon.witness_from(result.x), canon.multipliers_from_dict(lam)
-    )
-
-
-def _exact_optimal_from_float(canon: _Canon, res):
-    x = _exact_point_from_float(canon, list(res.x))
-    if x is None:
-        return None
-    value = sum((c * v for c, v in zip(canon.objective_dense, x)), ZERO)
-    # exact dual certificate from the float marginals
-    lam_float = [0.0] * len(canon.rows)
-    marg_eq = getattr(res.eqlin, "marginals", None) if hasattr(res, "eqlin") else None
-    marg_ub = getattr(res.ineqlin, "marginals", None) if hasattr(res, "ineqlin") else None
-    eq_at = ub_at = 0
-    for i, (_, rel, _) in enumerate(canon.rows):
-        if rel == EQ:
-            if marg_eq is not None and eq_at < len(marg_eq):
-                lam_float[i] = -float(marg_eq[eq_at])
-            eq_at += 1
-        else:
-            if marg_ub is not None and ub_at < len(marg_ub):
-                v = -float(marg_ub[ub_at])
-                lam_float[i] = v if rel == GE else -v
-            ub_at += 1
-    lam = _exact_duals(canon, lam_float, value)
-    return Optimal(value, canon.witness_from(x), lam)
-
-
-def _exact_duals(canon: _Canon, lam_float, value):
-    """Exactify dual multipliers: sum lam_i a_i = objective, sum lam_i b_i = value."""
-    rows = canon.rows
-    support = [i for i, v in enumerate(lam_float) if abs(v) > _SUPPORT_TOL]
-    if not support:
-        support = [i for i, (_, rel, _) in enumerate(rows) if rel == EQ]
-        if not support:
-            return None
-    touched = sorted(
-        {
-            j
-            for i in support
-            for j, v in enumerate(rows[i][0])
-            if v != 0
-        }
-        | {j for j, v in enumerate(canon.objective_dense) if v != 0}
-    )
-    sys_rows, sys_rhs = [], []
-    for j in touched:
-        sys_rows.append([rows[i][0][j] for i in support])
-        sys_rhs.append(canon.objective_dense[j])
-    sys_rows.append([rows[i][2] for i in support])
-    sys_rhs.append(value)
-    anchor = _rationalize([lam_float[i] for i in support])
-    lam_exact = _anchored_solve(sys_rows, sys_rhs, anchor)
-    if lam_exact is None:
-        return None
-    lam = {i: v for i, v in zip(support, lam_exact) if v != 0}
-    for i, mult in lam.items():
-        rel = rows[i][1]
-        if rel == GE and mult < 0:
-            return None
-        if rel == LE and mult > 0:
-            return None
-    return canon.multipliers_from_dict(lam)
+    if x_float is not None:
+        x = _exact_point_from_float(canon, x_float)
+        if x is not None:
+            value = _row_dot(canon.objective, x)
+            # exact dual certificate: sum lam_i a_i = objective, sum lam_i b_i = value
+            lam = _exact_multipliers(canon, lam_float, canon.objective, value)
+            if lam is not None:
+                lam = canon.multipliers_from_dict(lam)
+            return Optimal(value, canon.witness_from(x), lam)
+    return _exact_fallback(canon, optimize=True)
 
 
 def _exact_unbounded(canon: _Canon, objective: LinearFunctional):

@@ -342,10 +342,14 @@ def build_lp_constraints(
         u = edge_var_name(e.id)
         inputs = sorted(avail[e.tail] - {u})
         constraints.append(_zero_conditional_row(ground, [u], inputs))
-    # decoding: each demanded source is a function of what the sink sees
+    # decoding: each demanded source is a function of what the sink sees;
+    # a sink that sees the source itself (placed there, or relayed over
+    # contracted infinite edges) decodes it trivially
     for s in p.sources:
         for node in s.demanded_at:
-            inputs = sorted(avail[node] - {s.id})
+            if s.id in avail[node]:
+                continue
+            inputs = sorted(avail[node])
             constraints.append(_zero_conditional_row(ground, [s.id], inputs))
     # capacities
     for e in finite_edges:
@@ -371,12 +375,6 @@ def _aux_evaluator(dist: JointDistribution, f: AuxFunction) -> Callable[[tuple],
             raise DomainError(f"aux {f.id}: no table entry for {key!r}") from None
 
     return value
-
-
-def build_improved_constraints(
-    p: NetworkProblem, C: Optional[CapacityTuple], aux: AuxSpec
-) -> LinearSystem:
-    return build_lp_constraints(p, C, aux=aux)
 
 
 def check_lp_bound(

@@ -76,10 +76,6 @@ class IndicatorFamily:
             keys.append(sig)
         return _entropy_of_groups(self.probabilities, keys)
 
-    def entropy_with_base(self, members: Sequence[str]) -> float:
-        """Entropy of (X, members): atoms are distinct, so this is H(X)."""
-        return _entropy_of_groups(self.probabilities, list(range(self.n)))
-
     def member_label(self, atoms: frozenset) -> str:
         """Label of the member indicating the given 1-based atom set."""
         target = 0

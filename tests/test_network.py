@@ -18,7 +18,6 @@ from entrolab.network import (
     PassesFD,
     Source,
     SourceModel,
-    build_improved_constraints,
     build_lp_constraints,
     check_lp_bound,
     code_witness,
@@ -66,7 +65,7 @@ def test_example1_base_lp_feasible_with_exact_witness():
 def test_example1_improved_lp_infeasible():
     p = example1_problem()
     C = caps(p, "1,1,1,1")
-    sys = build_improved_constraints(p, C, example1_aux())
+    sys = build_lp_constraints(p, C, aux=example1_aux())
     assert len(sys.ground.names) == 10
     res = solve_feasibility(sys)
     assert isinstance(res, Infeasible)
@@ -96,9 +95,24 @@ def test_empty_aux_reduces_to_base():
     p = example1_problem()
     C = caps(p, "1,1,1,1")
     base = build_lp_constraints(p, C)
-    improved = build_improved_constraints(p, C, AuxSpec())
+    improved = build_lp_constraints(p, C, aux=AuxSpec())
     assert base.ground.names == improved.ground.names
     assert len(base.constraints) == len(improved.constraints)
+
+
+def test_relay_over_infinite_edge_is_achievable():
+    # the sink sees the source itself through the contracted infinite
+    # edge, so decoding adds no row and the tuple stays achievable
+    dist = uniform_bits(["b0", "b1"]).extend("Y1", lambda o: o[0] + o[1]).restrict(["Y1"])
+    p = NetworkProblem(
+        (1, 2, 3),
+        (Edge("e1", 1, 2, rational(2)), Edge("r1", 1, 3, INF)),
+        (Source("Y1", 1, (3,)),),
+        SourceModel(distribution=dist),
+    )
+    res = check_lp_bound(p)
+    assert isinstance(res, MaybeAchievable)
+    assert verify_certificate(build_lp_constraints(p), Feasible(res.witness))
 
 
 def test_source_only_edge_carries_constant():
