@@ -43,10 +43,6 @@ def rational(value: RationalLike, den: int | None = None):
     return _mpq(value)
 
 
-def as_fraction(value) -> Fraction:
-    return Fraction(value.numerator, value.denominator)
-
-
 def format_rational(value) -> str:
     """Render a rational as "a" or "a/b" (used by file formats)."""
     if value == INF:

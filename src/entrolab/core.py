@@ -102,9 +102,6 @@ class LinearFunctional:
     def evaluate(self, h: "EntropyVector"):
         return sum((c * h.value(mask) for mask, c in self.terms), ZERO)
 
-    def evaluate_map(self, values: Mapping[int, object]):
-        return sum((c * values.get(mask, ZERO) for mask, c in self.terms), ZERO)
-
     def scaled(self, factor) -> "LinearFunctional":
         f = rational(factor)
         return LinearFunctional([(m, c * f) for m, c in self.terms])

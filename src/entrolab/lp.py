@@ -138,14 +138,22 @@ class _Canon:
                 if not ok and trivial_bad is None:
                     trivial_bad = idx
                 continue
-            scale = ONE / abs(c.functional.terms[0][1])
+            lead = c.functional.terms[0][1]
             rel = c.relation
-            if rel != EQ and c.functional.terms[0][1] < 0:
+            flip = rel != EQ and lead < 0
+            if flip:
                 # normalize leading coefficient positive, flipping inequality
-                scale = -scale
                 rel = GE if rel == LE else LE
-            key = (tuple((m, v * scale) for m, v in c.functional.terms), rel)
-            rhs = c.rhs * scale
+            # a unit leading coefficient (almost every row) needs no multiply
+            terms, rhs = c.functional.terms, c.rhs
+            if abs(lead) != 1:
+                scale = (-ONE if flip else ONE) / abs(lead)
+                terms = tuple((m, v * scale) for m, v in terms)
+                rhs = rhs * scale
+            elif flip:
+                terms = tuple((m, -v) for m, v in terms)
+                rhs = -rhs
+            key = (terms, rel)
             prev = best.get(key)
             if prev is None:
                 best[key] = (idx, rhs)

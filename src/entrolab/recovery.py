@@ -16,6 +16,7 @@ structure, never on the labels.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -39,14 +40,36 @@ class NotIndicatorConsistent(ValueError):
         super().__init__(f"{step}: {detail}" if detail else step)
 
 
-def _entropy_of_groups(probs: Sequence[float], keys: Sequence[int]) -> float:
-    groups: dict[int, float] = {}
-    for p, k in zip(probs, keys):
-        groups[k] = groups.get(k, 0.0) + p
+def _subset_sums(probs: Sequence[float]) -> tuple[float, ...]:
+    """``sums[mask]``: the total probability of the atoms in ``mask``.
+
+    Each entry adds the mask's highest atom last, so every sum is
+    accumulated in atom order."""
+    sums = [0.0]
+    for p in probs:
+        sums += [s + p for s in sums]
+    return tuple(sums)
+
+
+def _partition_entropy(sums: Sequence[float], masks: Sequence[int]) -> float:
+    """Entropy of the joint of the indicators ``masks``: the entropy of
+    the partition of the atoms they induce, with block masses read from
+    the subset-sum table ``sums`` of the atom probabilities.
+
+    Blocks are taken in the order of their smallest atom, each the
+    intersection of the masks (or their complements) that hold that
+    atom, so every float is the one a signature-grouping loop over the
+    atoms computes, in the same order."""
     h = 0.0
-    for g in groups.values():
-        if g > 0:
-            h -= g * math.log2(g)
+    rest = len(sums) - 1
+    while rest:
+        low = rest & -rest
+        block = rest
+        for m in masks:
+            block &= m if low & m else ~m
+        g = sums[block]
+        h -= g * math.log2(g)
+        rest ^= block
     return h
 
 
@@ -65,16 +88,12 @@ class IndicatorFamily:
     def n(self) -> int:
         return len(self.probabilities)
 
+    @functools.cached_property
+    def _sums(self) -> tuple[float, ...]:
+        return _subset_sums(self.probabilities)
+
     def entropy(self, members: Sequence[str]) -> float:
-        keys = []
-        masks = [self.masks[m] for m in members]
-        for atom in range(self.n):
-            sig = 0
-            for j, mask in enumerate(masks):
-                if mask >> atom & 1:
-                    sig |= 1 << j
-            keys.append(sig)
-        return _entropy_of_groups(self.probabilities, keys)
+        return _partition_entropy(self._sums, [self.masks[m] for m in members])
 
     def member_label(self, atoms: frozenset) -> str:
         """Label of the member indicating the given 1-based atom set."""
@@ -126,7 +145,12 @@ def build_indicator_family(dist) -> IndicatorFamily:
 
 @dataclass(frozen=True)
 class RecoveryInput:
-    """A label-blind entropy oracle over family member names."""
+    """A label-blind entropy oracle over family member names.
+
+    ``entropy`` must be a function of the member *set*: neither the
+    order of the members nor repeats of a query may change its value.
+    The chain search memoises queries by set and prunes on the set of
+    members chosen so far, both of which rely on this."""
 
     n: int
     labels: tuple[str, ...]
@@ -174,17 +198,34 @@ def _conditional(inp: RecoveryInput, a: str, given: Sequence[str]) -> float:
 
 
 def _has_chain(
-    inp: RecoveryInput, base: tuple[str, ...], length: int, tol: float
+    inp: RecoveryInput,
+    base: tuple[str, ...],
+    length: int,
+    tol: float,
+    prefer: Sequence[str] = (),
 ) -> bool:
     """Does a chain of ``length`` members exist, each with positive
-    entropy given the base and its predecessors? Depth-first with
-    memoization on the chosen set (order irrelevant for existence)."""
+    entropy given the base and its predecessors? Exhaustive depth-first
+    search, pruned on the chosen set (order irrelevant for existence),
+    trying the ``prefer`` members first and then the rest in label
+    order. Oracle values are memoised by member set for this call only;
+    each child reuses its parent's query as the entropy of its given."""
     if length == 0:
         return True
-    others = [l for l in inp.labels if l not in base]
+    first = [l for l in prefer if l not in base]
+    skip = set(base) | set(first)
+    others = first + [l for l in inp.labels if l not in skip]
+    memo: dict[frozenset, float] = {}
     seen: set[frozenset] = set()
 
-    def extend(chain: tuple[str, ...]) -> bool:
+    def entropy(members: list[str]) -> float:
+        key = frozenset(members)
+        h = memo.get(key)
+        if h is None:
+            h = memo[key] = inp.entropy(members)
+        return h
+
+    def extend(chain: tuple[str, ...], h_given: float) -> bool:
         if len(chain) == length:
             return True
         key = frozenset(chain)
@@ -192,16 +233,39 @@ def _has_chain(
             return False
         seen.add(key)
         given = list(base) + list(chain)
-        h_given = inp.entropy(given)
         for cand in others:
             if cand in chain:
                 continue
-            if inp.entropy([cand] + given) - h_given > tol:
-                if extend(chain + (cand,)):
+            h = entropy([cand] + given)
+            if h - h_given > tol:
+                if extend(chain + (cand,), h):
                     return True
         return False
 
-    return extend(())
+    return extend((), entropy(list(base)))
+
+
+def _selection_walk(
+    inp: RecoveryInput, singles: Mapping[str, float], tolerance: float
+) -> list[str]:
+    """The member of least entropy (the smallest atom's singleton), then
+    upward one atom at a time by minimal fresh conditional entropy, ties
+    broken by single entropy and label. Stops early, with fewer than
+    n - 1 members, when no member is fresh."""
+    selected = [min(inp.labels, key=lambda l: (singles[l], l))]
+    for _ in range(inp.n - 2):
+        h_sel = inp.entropy(selected)
+        candidates = []
+        for l in inp.labels:
+            if l in selected:
+                continue
+            cond = inp.entropy([l] + selected) - h_sel
+            if cond > tolerance:
+                candidates.append((cond, singles[l], l))
+        if not candidates:
+            break
+        selected.append(min(candidates)[2])
+    return selected
 
 
 def recover_distribution(inp: RecoveryInput, tolerance: float = TOLERANCE) -> RecoveredDistribution:
@@ -218,36 +282,23 @@ def recover_distribution(inp: RecoveryInput, tolerance: float = TOLERANCE) -> Re
         joint = inp.entropy([a, b])
         if joint - singles[b] <= tolerance or joint - singles[a] <= tolerance:
             raise NotIndicatorConsistent("distinct", f"{a} and {b} are not distinct")
+    # smallest atom first, then walk upward by minimal fresh conditional
+    # entropy; for a genuine family the walk selects the singletons,
+    # which guide the chain search below
+    selected = _selection_walk(inp, singles, tolerance)
     # binarity: a binary member admits a chain of n-2 further members
     # each adding fresh uncertainty; a larger-alphabet member cannot,
     # because each step grows the joint support and support is capped
     # by the atom count
     for l in labels:
-        if not _has_chain(inp, (l,), n - 2, tolerance):
+        if not _has_chain(inp, (l,), n - 2, tolerance, prefer=selected):
             raise NotIndicatorConsistent("binary", f"{l} is not a binary indicator")
-    # smallest atom first, then walk upward by minimal fresh conditional
-    # entropy
-    order = sorted(labels, key=lambda l: (singles[l], l))
-    a_n = order[0]
-    probs: dict[int, float] = {n: binary_entropy_inverse(singles[a_n])}
-    provenance: dict[str, int] = {a_n: n}
-    selected = [a_n]
-    for i in range(n - 1, 1, -1):
-        h_sel = inp.entropy(selected)
-        candidates = []
-        for l in labels:
-            if l in provenance:
-                continue
-            cond = inp.entropy([l] + selected) - h_sel
-            if cond > tolerance:
-                candidates.append((cond, singles[l], l))
-        if not candidates:
-            raise NotIndicatorConsistent("select", f"no candidate member at atom {i}")
-        candidates.sort()
-        _, h_single, choice = candidates[0]
-        probs[i] = binary_entropy_inverse(h_single)
-        provenance[choice] = i
-        selected.append(choice)
+    probs = {n - k: binary_entropy_inverse(singles[l]) for k, l in enumerate(selected)}
+    if len(selected) < n - 1:
+        raise NotIndicatorConsistent(
+            "select", f"no candidate member at atom {n - len(selected)}"
+        )
+    provenance = {l: n - k for k, l in enumerate(selected)}
     p1 = 1.0 - sum(probs.values())
     if p1 <= 0 or p1 < probs[2] - tolerance:
         raise NotIndicatorConsistent(
@@ -316,8 +367,9 @@ def verify_properties(dist, tolerance: float = TOLERANCE) -> PropertyReport:
                 if not expect_positive and cond > tolerance:
                     violations.append(f"P2: H({l}|atoms {b}) > 0 but should vanish")
     # P3: every member admits a full fresh-uncertainty chain
+    singletons = [singleton(i) for i in range(n, 1, -1)]
     for l in labels:
-        if not _has_chain(inp, (l,), n - 2, tolerance):
+        if not _has_chain(inp, (l,), n - 2, tolerance, prefer=singletons):
             violations.append(f"P3: no chain of length {n - 2} from {l}")
     # P4: the smallest atom's singleton attains the minimum entropy
     h_min = min(singles.values())
@@ -385,7 +437,7 @@ def build_multivar_indicators(dist: JointDistribution) -> MultivarIndicatorInput
     atom_of = {top: 0}
     for k, i in enumerate(rest):
         atom_of[i] = k + 1
-    p_ordered = [probs[top]] + [probs[i] for i in rest]
+    sums = _subset_sums([probs[top]] + [probs[i] for i in rest])
 
     masks: dict[str, int] = {}
     labels: list[str] = []
@@ -413,15 +465,7 @@ def build_multivar_indicators(dist: JointDistribution) -> MultivarIndicatorInput
         anchors.append(tuple(per_value))
 
     def entropy(members: Sequence[str]) -> float:
-        ms = [masks[x] for x in members]
-        keys = []
-        for atom in range(n):
-            sig = 0
-            for j, mask in enumerate(ms):
-                if mask >> atom & 1:
-                    sig |= 1 << j
-            keys.append(sig)
-        return _entropy_of_groups(p_ordered, keys)
+        return _partition_entropy(sums, [masks[x] for x in members])
 
     return MultivarIndicatorInput(n, tuple(labels), entropy, tuple(anchors))
 

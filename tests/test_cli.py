@@ -109,6 +109,12 @@ def test_recover_self_test(capsys):
     assert report["failures"] == []
 
 
+def test_recover_self_test_seven_atoms(capsys):
+    report = run_json(capsys, "recover", "--self-test", "--n", "7", "--trials", "20", "--seed", "3")
+    assert report["status"] == "all trials passed"
+    assert report["failures"] == []
+
+
 def test_recover_self_test_needs_seed(capsys):
     code, _, err = run(capsys, "recover", "--self-test", "--n", "3")
     assert code == 1

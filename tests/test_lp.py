@@ -170,11 +170,14 @@ def fm_feasible(rows, k):
             c = [fn * a + fp * d for a, d in zip(cp, cn)]
             combined.append((c, fn * bp + fp * bn))
         le_rows = rest + combined
+        # rows equal up to a positive scale are one constraint: keep the
+        # smallest rhs of each, normalised by its first nonzero |coeff|
         dedup = {}
         for c, b in le_rows:
-            key = tuple(c)
-            if key not in dedup or b < dedup[key]:
-                dedup[key] = b
+            scale = next((abs(v) for v in c if v), 1)
+            key = tuple(v / scale for v in c)
+            if key not in dedup or b / scale < dedup[key]:
+                dedup[key] = b / scale
         le_rows = [(list(c), b) for c, b in dedup.items()]
     return all(b >= 0 for c, b in le_rows)
 
