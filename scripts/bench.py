@@ -36,9 +36,9 @@ def git_commit(checkout: Path) -> str | None:
     return done.stdout.strip()
 
 
-def run_one(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_one(checkout: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, str(checkout / "entrobench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -67,8 +67,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
-    ap.add_argument("--seconds", type=float, default=20.0, help="entrobench --seconds")
     ap.add_argument("--checkout", type=Path, default=HERE,
                     help="checkout whose entrobench/run.py and src/ are run")
     args = ap.parse_args(argv)
@@ -76,8 +74,8 @@ def main(argv=None) -> int:
     checkout = args.checkout.resolve()
     runs = []
     for seed in args.seeds:
-        for workload in args.workloads:
-            run = run_one(checkout, workload, seed, args.seconds)
+        for workload in WORKLOADS:
+            run = run_one(checkout, workload, seed)
             runs.append(run)
             shown = run.get("result", {}).get("metrics", {}).get("wall_s", {}).get("value")
             print(f"{workload} seed={seed}: wall_s={shown}", file=sys.stderr)
@@ -85,7 +83,6 @@ def main(argv=None) -> int:
         "label": args.label,
         "commit": git_commit(checkout),
         "machine": {"cores": os.cpu_count(), "python": platform.python_version()},
-        "seconds": args.seconds,
         "medians": medians(runs),
         "runs": runs,
     }
