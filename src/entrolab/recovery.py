@@ -282,9 +282,8 @@ def recover_distribution(inp: RecoveryInput, tolerance: float = TOLERANCE) -> Re
         joint = inp.entropy([a, b])
         if joint - singles[b] <= tolerance or joint - singles[a] <= tolerance:
             raise NotIndicatorConsistent("distinct", f"{a} and {b} are not distinct")
-    # smallest atom first, then walk upward by minimal fresh conditional
-    # entropy; for a genuine family the walk selects the singletons,
-    # which guide the chain search below
+    # for a genuine family the walk selects the singletons, which guide
+    # the chain search below
     selected = _selection_walk(inp, singles, tolerance)
     # binarity: a binary member admits a chain of n-2 further members
     # each adding fresh uncertainty; a larger-alphabet member cannot,
