@@ -1,6 +1,6 @@
 """The guided chain search and the partition oracle against reference copies.
 
-``seed_has_chain`` and ``seed_recover`` are verbatim copies of the chain
+``old_has_chain`` and ``old_recover`` are verbatim copies of the chain
 search and recovery that predate the memoised, singleton-guided search;
 ``atom_signature_entropy`` is the atom-by-atom grouping oracle the
 partition oracle replaced. The package must agree with them exactly.
@@ -49,7 +49,7 @@ def atom_signature_entropy(probs, masks):
     return h
 
 
-def seed_has_chain(inp, base, length, tol):
+def old_has_chain(inp, base, length, tol):
     if length == 0:
         return True
     others = [l for l in inp.labels if l not in base]
@@ -75,7 +75,7 @@ def seed_has_chain(inp, base, length, tol):
     return extend(())
 
 
-def seed_recover(inp, tolerance=TOL):
+def old_recover(inp, tolerance=TOL):
     n = inp.n
     labels = list(inp.labels)
     if len(labels) != (1 << (n - 1)) - 1:
@@ -86,7 +86,7 @@ def seed_recover(inp, tolerance=TOL):
         if joint - singles[b] <= tolerance or joint - singles[a] <= tolerance:
             raise NotIndicatorConsistent("distinct")
     for l in labels:
-        if not seed_has_chain(inp, (l,), n - 2, tolerance):
+        if not old_has_chain(inp, (l,), n - 2, tolerance):
             raise NotIndicatorConsistent("binary")
     order = sorted(labels, key=lambda l: (singles[l], l))
     a_n = order[0]
@@ -181,7 +181,7 @@ def outcome(fn, inp):
     st.integers(min_value=0, max_value=10**9),
 )
 @settings(max_examples=60, deadline=None)
-def test_has_chain_matches_seed_search(kind, n, seed):
+def test_has_chain_matches_old_search(kind, n, seed):
     rng = random.Random(seed)
     inp = oracle_input(kind, n, rng)
     labels = list(inp.labels)
@@ -189,7 +189,7 @@ def test_has_chain_matches_seed_search(kind, n, seed):
         base = tuple(rng.sample(labels, rng.randint(1, min(2, len(labels)))))
         length = rng.randint(0, n - 1)
         prefer = rng.sample(labels, rng.randint(0, len(labels)))
-        assert _has_chain(inp, base, length, TOL, prefer=prefer) == seed_has_chain(
+        assert _has_chain(inp, base, length, TOL, prefer=prefer) == old_has_chain(
             inp, base, length, TOL
         ), (base, length, prefer)
 
@@ -200,9 +200,9 @@ def test_has_chain_matches_seed_search(kind, n, seed):
     st.integers(min_value=0, max_value=10**9),
 )
 @settings(max_examples=40, deadline=None)
-def test_recovery_matches_seed_recovery(kind, n, seed):
+def test_recovery_matches_old_recovery(kind, n, seed):
     inp = oracle_input(kind, n, random.Random(seed))
-    ours, theirs = outcome(recover_distribution, inp), outcome(seed_recover, inp)
+    ours, theirs = outcome(recover_distribution, inp), outcome(old_recover, inp)
     assert ours == theirs
 
 
@@ -224,7 +224,7 @@ def test_non_binary_members_refused_at_binarity():
     with pytest.raises(NotIndicatorConsistent) as exc:
         recover_distribution(inp)
     assert exc.value.step == "binary"
-    assert outcome(seed_recover, inp) == "binary"
+    assert outcome(old_recover, inp) == "binary"
 
 
 def counted(inp):
