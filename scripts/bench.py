@@ -8,7 +8,9 @@ For each workload and seed this runs ``entrobench/run.py --trace 0`` of a
 checkout (by default the one holding this script) in a fresh process, one
 at a time, and writes ``BENCH_<label>.json`` to the current directory: the
 checkout's commit, the machine (cores, Python), and each run's result line
-as entrobench printed it, plus the per-workload medians of its metrics.
+as entrobench printed it with its elapsed seconds (``run_s``), plus the
+per-workload medians of its metrics. A run that has not finished after
+``RUN_TIMEOUT_S`` seconds is stopped and recorded as an error.
 Compare two labels by running the script once per checkout.
 """
 
@@ -21,10 +23,12 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 WORKLOADS = ("bound-large", "bound-small", "bound-cold", "recover")
 HERE = Path(__file__).resolve().parent.parent
+RUN_TIMEOUT_S = 600  # a run still going after this long is recorded as an error
 
 
 def git_commit(checkout: Path) -> str | None:
@@ -39,11 +43,22 @@ def git_commit(checkout: Path) -> str | None:
 def run_one(checkout: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, str(checkout / "entrobench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    start = time.perf_counter()
+    try:
+        done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                              timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        done = None
+    run = {"workload": workload, "seed": seed, "run_s": time.perf_counter() - start}
+    if done is None:
+        run["error"] = f"stopped after {RUN_TIMEOUT_S} s"
+        return run
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
-        return {"workload": workload, "seed": seed, "error": done.stderr.strip()[-2000:]}
-    return {"workload": workload, "seed": seed, "result": json.loads(lines[-1])}
+        run["error"] = done.stderr.strip()[-2000:]
+    else:
+        run["result"] = json.loads(lines[-1])
+    return run
 
 
 def medians(runs: list) -> dict:

@@ -4,8 +4,8 @@ The decision path is exact: every returned witness or certificate is
 re-derivable by rational arithmetic. A floating-point warm start (one
 sparse scipy/HiGHS solve) merely *suggests* a point or a Farkas support;
 the suggestion is then solved by sparse exact elimination and verified,
-and on any mismatch we fall back to the pure exact simplex in
-``_simplex``.
+and on any mismatch we fall back to the exact simplex ``simplex_solve``,
+which pivots the same sparse rows.
 
 Certificate convention (Farkas): a map constraint-index -> multiplier
 lam with lam_i >= 0 on ">=" rows, lam_i <= 0 on "<=" rows, free on "=="
@@ -20,9 +20,9 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from ._rational import ONE, ZERO, format_rational, rational
-from ._simplex import EQ, GE, LE, simplex_solve
 from .core import DomainError, EntropyVector, GroundSet, LinearFunctional
 
+LE, GE, EQ = "<=", ">=", "=="
 RELATIONS = {">=": GE, "<=": LE, "=": EQ, "==": EQ, "≥": GE, "≤": LE}
 
 _ANCHOR_DEN = 10**12
@@ -192,18 +192,11 @@ class _Canon:
         sign = ONE if gap > 0 else -ONE
         return Infeasible({i: sign / sa, j: -sign / sb})
 
-    def dense(self, terms) -> list:
-        out = [ZERO] * len(self.cols)
-        for j, v in terms:
-            out[j] = v
-        return out
-
     def witness_from(self, x: Sequence) -> EntropyVector:
-        values = {m: rational(v) for m, v in zip(self.cols, x)}
-        return EntropyVector(self.sys.ground, values, exact=True)
+        return EntropyVector(self.sys.ground, dict(zip(self.cols, x)), exact=True)
 
     def multipliers_from_dict(self, lam: Mapping[int, object]) -> dict[int, object]:
-        return {self.row_index[i]: rational(v) for i, v in lam.items() if v != 0}
+        return {self.row_index[i]: v for i, v in lam.items() if v != 0}
 
 
 # --- exact linear algebra --------------------------------------------------------
@@ -258,6 +251,137 @@ def _anchored_solve(rows, rhs, anchor):
         rest = sum((v * x[j] for j, v in row.items() if j != col), ZERO)
         x[col] = (rhs[k] - rest) / row[col]
     return x
+
+
+@dataclass
+class SimplexResult:
+    status: str  # "optimal" | "infeasible" | "unbounded"
+    x: list | None = None  # point in the original free-variable space
+    value: object | None = None
+    duals: list | None = None  # public-convention multipliers per input row
+    ray: list | None = None  # unbounded direction in the original space
+
+
+def simplex_solve(ncols: int, rows, objective=()) -> SimplexResult:
+    """Exact two-phase simplex with Bland's anti-cycling rule: minimize
+    ``objective . x`` subject to ``rows`` over free variables.
+
+    rows: ``(terms, rel, rhs)`` as in ``_Canon.rows``; objective: terms.
+    For "infeasible" the duals are a Farkas certificate, for "optimal"
+    they certify optimality (sum lam_i a_i = objective, sum lam_i b_i =
+    value), both in the public sign convention.
+
+    Standard form M z = d, z >= 0 over columns u (0..n-1) and w
+    (n..2n-1) with x = u - w, one slack per inequality row, then one
+    artificial per row. Each tableau row is a dict column -> nonzero,
+    with d stored under ``rhs``, the column one past the last artificial;
+    a pivot touches only the pivot row's nonzeros."""
+    m = len(rows)
+    nstruct = 2 * ncols + sum(1 for _, rel, _ in rows if rel != EQ)
+    rhs = nstruct + m
+    tableau: list[dict] = []
+    signs = []  # tableau row = sign * (row as written), for the duals
+    slack = 2 * ncols
+    for i, (terms, rel, b) in enumerate(rows):
+        d = -b if rel == GE else b
+        flip = -1 if d < 0 else 1
+        sign = -flip if rel == GE else flip
+        row = {}
+        for j, v in terms:
+            v = v if sign > 0 else -v
+            row[j] = v
+            row[ncols + j] = -v
+        if rel != EQ:
+            row[slack] = ONE if flip > 0 else -ONE
+            slack += 1
+        row[nstruct + i] = ONE  # artificial
+        if d != 0:
+            row[rhs] = abs(d)
+        tableau.append(row)
+        signs.append(sign)
+    basis = [nstruct + i for i in range(m)]
+
+    def subtract(row, f, pr):
+        for j, v in pr.items():
+            w = row.get(j, ZERO) - f * v
+            if w != 0:
+                row[j] = w
+            else:
+                row.pop(j, None)
+
+    def pivot(obj, r, col):
+        inv = ONE / tableau[r][col]
+        tableau[r] = pr = {j: v * inv for j, v in tableau[r].items()}
+        for row in tableau + [obj]:
+            f = row.get(col)
+            if f is not None and row is not pr:
+                subtract(row, f, pr)
+        basis[r] = col
+
+    def run(obj):
+        # Bland: entering = lowest-index negative reduced cost
+        while True:
+            col = min((j for j, v in obj.items() if j < nstruct and v < 0), default=None)
+            if col is None:
+                return None  # optimal
+            best_r, best_ratio = None, None
+            for i, row in enumerate(tableau):
+                t = row.get(col)
+                if t is not None and t > 0:
+                    ratio = row.get(rhs, ZERO) / t
+                    if (
+                        best_ratio is None
+                        or ratio < best_ratio
+                        or (ratio == best_ratio and basis[i] < basis[best_r])
+                    ):
+                        best_r, best_ratio = i, ratio
+            if best_r is None:
+                return col  # unbounded in this column
+            pivot(obj, best_r, col)
+
+    # Phase 1: minimize the sum of the artificials (all basic initially);
+    # its reduced costs are minus the column sums, 0 on the artificials.
+    obj: dict = {}
+    for row in tableau:
+        subtract(obj, ONE, {j: v for j, v in row.items() if j < nstruct or j == rhs})
+    run(obj)
+    if -obj.get(rhs, ZERO) > 0:  # infeasible: phase-1 optimum positive
+        duals = [(ONE - obj.get(nstruct + i, ZERO)) * s for i, s in enumerate(signs)]
+        return SimplexResult(status="infeasible", duals=duals)
+
+    # Drive artificials out of the basis; redundant rows keep a zero-level
+    # artificial which is then frozen (its column can never re-enter).
+    for r in range(m):
+        if basis[r] >= nstruct:
+            col = min((j for j in tableau[r] if j < nstruct), default=None)
+            if col is not None:
+                pivot(obj, r, col)
+
+    # Phase 2.
+    cost = {}
+    for j, c in objective:
+        cost[j], cost[ncols + j] = c, -c
+    obj = dict(cost)
+    for i, row in enumerate(tableau):
+        cb = cost.get(basis[i])
+        if cb is not None:
+            subtract(obj, cb, row)
+    unbounded_col = run(obj)
+    z = {basis[i]: row.get(rhs, ZERO) for i, row in enumerate(tableau)}
+    x = [z.get(j, ZERO) - z.get(ncols + j, ZERO) for j in range(ncols)]
+
+    if unbounded_col is not None:
+        ray_z = {unbounded_col: ONE}
+        for i, row in enumerate(tableau):
+            t = row.get(unbounded_col)
+            if t is not None:
+                ray_z[basis[i]] = -t
+        ray = [ray_z.get(j, ZERO) - ray_z.get(ncols + j, ZERO) for j in range(ncols)]
+        return SimplexResult(status="unbounded", x=x, ray=ray)
+
+    duals = [-obj.get(nstruct + i, ZERO) * s for i, s in enumerate(signs)]
+    value = sum((c * x[j] for j, c in objective), ZERO)
+    return SimplexResult(status="optimal", x=x, value=value, duals=duals)
 
 
 def _rationalize(values, max_den=_ANCHOR_DEN):
@@ -444,9 +568,8 @@ def _elastic_verdict(canon: _Canon):
 
 
 def _exact_fallback(canon: _Canon, optimize: bool = False):
-    """The dense exact simplex; the only place rows are built 2^n wide."""
-    rows = [(canon.dense(terms), rel, rhs) for terms, rel, rhs in canon.rows]
-    result = simplex_solve(len(canon.cols), rows, objective=canon.dense(canon.objective))
+    """The exact simplex over the canonical rows, made a verdict."""
+    result = simplex_solve(len(canon.cols), canon.rows, canon.objective)
     lam = {i: v for i, v in enumerate(result.duals or ()) if v != 0}
     if result.status == "infeasible":
         return Infeasible(canon.multipliers_from_dict(lam))

@@ -95,16 +95,6 @@ class IndicatorFamily:
     def entropy(self, members: Sequence[str]) -> float:
         return _partition_entropy(self._sums, [self.masks[m] for m in members])
 
-    def member_label(self, atoms: frozenset) -> str:
-        """Label of the member indicating the given 1-based atom set."""
-        target = 0
-        for a in atoms:
-            target |= 1 << (a - 1)
-        for l, m in self.masks.items():
-            if m == target:
-                return l
-        raise KeyError(atoms)
-
 
 def _check_sorted_positive(probs) -> tuple[float, ...]:
     p = [float(v) for v in probs]
@@ -271,6 +261,8 @@ def _selection_walk(
 def recover_distribution(inp: RecoveryInput, tolerance: float = TOLERANCE) -> RecoveredDistribution:
     n = inp.n
     labels = list(inp.labels)
+    if n < 2:
+        raise NotIndicatorConsistent("support", f"need at least two atoms, got n={n}")
     if len(labels) != (1 << (n - 1)) - 1:
         raise NotIndicatorConsistent(
             "support", f"expected {(1 << (n - 1)) - 1} members for n={n}, got {len(labels)}"
@@ -340,9 +332,8 @@ def verify_properties(dist, tolerance: float = TOLERANCE) -> PropertyReport:
     violations: list[str] = []
     ties: list[str] = []
 
-    def singleton(atom: int) -> str:
-        return family.member_label(frozenset([atom]))
-
+    label_of = {m: l for l, m in family.masks.items()}
+    singleton = {i: label_of[1 << (i - 1)] for i in range(2, n + 1)}
     # P1: all pairs mutually distinct
     for a, b in itertools.combinations(labels, 2):
         joint = inp.entropy([a, b])
@@ -358,7 +349,7 @@ def verify_properties(dist, tolerance: float = TOLERANCE) -> PropertyReport:
     for l in labels:
         for r in range(0, n):
             for b in itertools.combinations(range(2, n + 1), r):
-                given = [singleton(i) for i in b]
+                given = [singleton[i] for i in b]
                 cond = _conditional(inp, l, given) if given else singles[l]
                 expect_positive = bool(atom_sets[l] - set(b))
                 if expect_positive and cond <= tolerance:
@@ -366,13 +357,13 @@ def verify_properties(dist, tolerance: float = TOLERANCE) -> PropertyReport:
                 if not expect_positive and cond > tolerance:
                     violations.append(f"P2: H({l}|atoms {b}) > 0 but should vanish")
     # P3: every member admits a full fresh-uncertainty chain
-    singletons = [singleton(i) for i in range(n, 1, -1)]
+    singletons = [singleton[i] for i in range(n, 1, -1)]
     for l in labels:
         if not _has_chain(inp, (l,), n - 2, tolerance, prefer=singletons):
             violations.append(f"P3: no chain of length {n - 2} from {l}")
     # P4: the smallest atom's singleton attains the minimum entropy
     h_min = min(singles.values())
-    l_n = singleton(n)
+    l_n = singleton[n]
     if singles[l_n] > h_min + tolerance:
         violations.append("P4: smallest-atom singleton does not attain the minimum")
     elif sum(1 for v in singles.values() if abs(v - h_min) <= tolerance) > 1:
@@ -380,18 +371,18 @@ def verify_properties(dist, tolerance: float = TOLERANCE) -> PropertyReport:
     # P5: the singleton of atom i is minimal among members still
     # uncertain given the smaller atoms' singletons
     for i in range(2, n):
-        given = [singleton(j) for j in range(i + 1, n + 1)]
-        h_i = _conditional(inp, singleton(i), given)
+        given = [singleton[j] for j in range(i + 1, n + 1)]
+        h_i = _conditional(inp, singleton[i], given)
         if h_i <= tolerance:
             violations.append(f"P5a: H(atom {i} indicator | smaller atoms) = 0")
         for l in labels:
-            if l == singleton(i):
+            if l == singleton[i]:
                 continue
             cond = _conditional(inp, l, given)
             if cond > tolerance:
                 if h_i > cond + tolerance:
                     violations.append(f"P5b: {l} beats the singleton of atom {i}")
-                if singles[singleton(i)] > singles[l] + tolerance:
+                if singles[singleton[i]] > singles[l] + tolerance:
                     violations.append(f"P5c: H of singleton {i} exceeds H({l})")
     return PropertyReport(tuple(violations), tuple(ties))
 

@@ -111,6 +111,12 @@ def test_support_size_gate():
     assert exc.value.step == "support"
 
 
+def test_single_atom_is_refused_at_support():
+    with pytest.raises(NotIndicatorConsistent) as exc:
+        recover_distribution(RecoveryInput.from_table(1, [], {}))
+    assert exc.value.step == "support"
+
+
 def test_non_binary_member_rejected():
     fam = build_indicator_family([0.4, 0.3, 0.2, 0.1])
 

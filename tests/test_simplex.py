@@ -1,0 +1,119 @@
+"""The exact simplex fallback against the warm path and ``minimize``.
+
+Random LPs over at most four columns, with equality rows, negative
+right-hand sides, duplicated rows and infeasible systems, are solved
+both ways; every verdict must pass ``verify_certificate``. The last test
+is a delta*-relaxed network LP whose float point misses its exact
+reconstruction, so it is settled by the simplex.
+"""
+
+import time
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from entrolab import lp
+from entrolab.core import GroundSet, LinearFunctional, elemental_inequalities
+from entrolab.lp import (
+    Feasible,
+    LinearConstraint,
+    LinearSystem,
+    Optimal,
+    minimize,
+    solve_feasibility,
+    verify_certificate,
+)
+
+RELS = ("<=", ">=", "==")
+coeff = st.integers(-3, 3)
+value = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def systems(draw, objective=False):
+    k = draw(st.integers(1, 4))
+    ground = GroundSet(tuple("ABCD"[:k]))
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        f = LinearFunctional([(1 << i, c) for i, c in enumerate(draw(st.lists(
+            coeff, min_size=k, max_size=k)))])
+        rows.append(LinearConstraint(f, draw(st.sampled_from(RELS)), draw(value)))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.append(draw(st.sampled_from(rows)))  # a duplicate row
+    if draw(st.booleans()):
+        # a contradiction: some row's functional pushed past its rhs
+        c = draw(st.sampled_from(rows))
+        if c.relation == "<=":
+            rows.append(LinearConstraint(c.functional, ">=", c.rhs + 1))
+        else:
+            rows.append(LinearConstraint(c.functional, "<=", c.rhs - 1))
+    obj = None
+    if objective:
+        obj = LinearFunctional([(1 << i, c) for i, c in enumerate(draw(st.lists(
+            coeff, min_size=k, max_size=k)))])
+        assume(obj.terms)
+    return LinearSystem(ground, rows, obj)
+
+
+@given(systems())
+@settings(max_examples=100, deadline=None)
+def test_cold_verdict_matches_warm(sys_):
+    warm = solve_feasibility(sys_)
+    cold = solve_feasibility(sys_, warm_start=False)
+    assert type(cold) is type(warm)
+    assert verify_certificate(sys_, warm)
+    assert verify_certificate(sys_, cold)
+
+
+@given(systems(objective=True))
+@settings(max_examples=100, deadline=None)
+def test_fallback_optimum_matches_minimize(sys_):
+    canon = lp._Canon(sys_, sys_.objective)
+    assume(canon.conflict is None)
+    exact = lp._exact_fallback(canon, optimize=True)
+    res = minimize(sys_)
+    assert type(exact) is type(res)
+    if isinstance(res, Optimal):
+        assert exact.value == res.value
+        assert exact.dual_certificate is not None
+    assert verify_certificate(sys_, exact)
+    assert verify_certificate(sys_, res)
+
+
+def test_delta_star_reconstruction_miss_is_settled():
+    """A delta*-relaxed LP on (Y1, Y2, K12, U1, U2) whose delta* bound d
+    is within 2e-18 of (h(Y1,Y2) - 2) / 2 but not equal to it: the float
+    active set is exactly inconsistent, so the warm point misses and the
+    simplex must settle the verdict."""
+    g = GroundSet(("Y1", "Y2", "K12", "U1", "U2"))
+    m = g.mask
+    h_y = Fraction(22772464917029034989, 2**63)  # rounded h(Y1,Y2)
+    d = Fraction(4224336761054183, 2**54)  # rational(float delta*)
+
+    def f(*terms):
+        return LinearFunctional([(m(names), c) for names, c in terms])
+
+    rows = [
+        LinearConstraint(f((["Y1"], 1)), "==", 2),
+        LinearConstraint(f((["Y2"], 1)), "==", 2),
+        LinearConstraint(f((["Y1", "Y2"], 1)), "==", h_y),
+        LinearConstraint(f((["Y1"], -1), (["Y1", "K12"], 1)), "<=", d),
+        LinearConstraint(f((["Y2"], -1), (["Y2", "K12"], 1)), "<=", d),
+        LinearConstraint(
+            f((["K12"], -1), (["Y1", "K12"], 1), (["Y2", "K12"], 1), (["Y1", "Y2", "K12"], -1)),
+            "<=", d),
+        LinearConstraint(f((["Y1", "Y2"], -1), (["Y1", "Y2", "U1"], 1)), "==", 0),
+        LinearConstraint(f((["Y1", "Y2"], -1), (["Y1", "Y2", "U2"], 1)), "==", 0),
+        LinearConstraint(f((["U1", "U2"], -1), (["Y1", "U1", "U2"], 1)), "==", 0),
+        LinearConstraint(f((["U1", "U2"], -1), (["Y2", "U1", "U2"], 1)), "==", 0),
+        LinearConstraint(f((["U1"], 1)), "<=", h_y),
+        LinearConstraint(f((["U2"], 1)), "<=", h_y),
+    ]
+    rows += [LinearConstraint(e, ">=", 0) for e in elemental_inequalities(g.n)]
+    sys_ = LinearSystem(g, rows)
+    start = time.perf_counter()
+    res = solve_feasibility(sys_)
+    assert time.perf_counter() - start < 10
+    assert isinstance(res, Feasible)
+    assert verify_certificate(sys_, res)

@@ -1,6 +1,6 @@
 """The warm path alone settles every verdict of these families.
 
-``entrolab.lp.simplex_solve`` (the dense exact fallback) is replaced by
+``entrolab.lp.simplex_solve`` (the exact fallback) is replaced by
 a function that raises, so each verdict below must come from a
 HiGHS solve made exact, and must pass ``verify_certificate``.
 """
