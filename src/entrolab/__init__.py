@@ -15,8 +15,6 @@ from .core import (
     elemental_inequalities,
     entropy_of,
     entropy_vector_of,
-    eval_conditional,
-    eval_mutual,
     is_polymatroid,
     uniform_bits,
 )

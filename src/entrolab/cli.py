@@ -20,7 +20,6 @@ from .core import DomainError, load_distribution
 from .lp import (
     Feasible,
     LinearSystem,
-    dump_system,
     solve_feasibility,
     verify_certificate,
 )
@@ -291,7 +290,7 @@ def _run_dump_lp(args) -> dict:
         "dumped",
         variables=list(sys_.ground.names),
         rows=len(sys_.constraints),
-        system=dump_system(sys_).splitlines(),
+        system=sys_.render().splitlines(),
     )
 
 

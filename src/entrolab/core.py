@@ -307,16 +307,6 @@ def is_polymatroid(h: EntropyVector, tolerance=None) -> tuple[bool, list[LinearF
     return not violated, violated
 
 
-def eval_conditional(h: EntropyVector, a_mask: int, b_mask: int):
-    """h(A|B) = h(A u B) - h(B), exact over the stored rationals."""
-    return h.conditional(a_mask, b_mask)
-
-
-def eval_mutual(h: EntropyVector, a_mask: int, b_mask: int, c_mask: int = 0):
-    """I(A;B|C), exact over the stored rationals."""
-    return h.mutual(a_mask, b_mask, c_mask)
-
-
 def binary_entropy(q: float) -> float:
     """h_b(q) in bits, with h_b(0) = h_b(1) = 0."""
     q = float(q)

@@ -5,7 +5,12 @@ re-derivable by rational arithmetic. A floating-point warm start (one
 sparse scipy/HiGHS solve) merely *suggests* a point or a Farkas support;
 the suggestion is then solved by sparse exact elimination and verified,
 and on any mismatch we fall back to the exact simplex ``simplex_solve``,
-which pivots the same sparse rows.
+which pivots the same sparse rows. The rows reach HiGHS, the
+elimination, the simplex and ``verify_certificate`` in the order and
+form the caller built them: duplicate, conflicting and empty rows are
+not merged or dropped, so a row multiplier is a constraint multiplier.
+One helper, ``_combination``, applies the sign rule and sums multiplier
+combinations for every exact check.
 
 Certificate convention (Farkas): a map constraint-index -> multiplier
 lam with lam_i >= 0 on ">=" rows, lam_i <= 0 on "<=" rows, free on "=="
@@ -46,12 +51,7 @@ class LinearConstraint:
         object.__setattr__(self, "rhs", rational(rhs))
 
     def holds_at(self, h: EntropyVector) -> bool:
-        lhs = self.functional.evaluate(h)
-        if self.relation == GE:
-            return lhs >= self.rhs
-        if self.relation == LE:
-            return lhs <= self.rhs
-        return lhs == self.rhs
+        return _holds(self.functional.evaluate(h), self.relation, self.rhs)
 
     def render(self, ground: GroundSet) -> str:
         rel = {GE: ">=", LE: "<=", EQ: "="}[self.relation]
@@ -107,96 +107,32 @@ class Unbounded:
 
 
 class _Canon:
-    """Sparse column-indexed view of a system, after redundancy pre-pass.
+    """Sparse column-indexed view of a system, its rows in constraint order.
 
-    ``rows[k]`` is ``(terms, rel, rhs)`` for the constraint
-    ``row_index[k]``, with ``terms`` its ``(column, coefficient)`` pairs."""
+    ``cols`` are the masks the rows and the objective use, ascending;
+    ``rows[i]`` is ``(terms, rel, rhs)`` for constraint ``i`` as given,
+    with ``terms`` its ``(column, coefficient)`` pairs. Nothing is
+    merged or dropped, so row multipliers are constraint multipliers."""
 
     def __init__(self, sys: LinearSystem, objective: LinearFunctional | None):
-        masks = set()
-        for c in sys.constraints:
-            masks.update(m for m, _ in c.functional.terms)
+        masks = {m for c in sys.constraints for m, _ in c.functional.terms}
         if objective is not None:
             masks.update(m for m, _ in objective.terms)
         self.cols = sorted(masks)  # deterministic: lexicographic by bitmask
-        self.col_index = {m: i for i, m in enumerate(self.cols)}
-        self.sys = sys
-        self.conflict: Optional[Infeasible] = None
-
-        # Redundancy pre-pass: drop duplicate functionals keeping the
-        # binding rhs; detect flat contradictions among identical rows.
-        best: dict[tuple, tuple[int, object]] = {}
-        trivial_bad: Optional[int] = None
-        kept: list[int] = []
-        for idx, c in enumerate(sys.constraints):
-            if not c.functional.terms:
-                ok = (
-                    (c.relation == GE and 0 >= c.rhs)
-                    or (c.relation == LE and 0 <= c.rhs)
-                    or (c.relation == EQ and c.rhs == 0)
-                )
-                if not ok and trivial_bad is None:
-                    trivial_bad = idx
-                continue
-            lead = c.functional.terms[0][1]
-            rel = c.relation
-            flip = rel != EQ and lead < 0
-            if flip:
-                # normalize leading coefficient positive, flipping inequality
-                rel = GE if rel == LE else LE
-            # a unit leading coefficient (almost every row) needs no multiply
-            terms, rhs = c.functional.terms, c.rhs
-            if abs(lead) != 1:
-                scale = (-ONE if flip else ONE) / abs(lead)
-                terms = tuple((m, v * scale) for m, v in terms)
-                rhs = rhs * scale
-            elif flip:
-                terms = tuple((m, -v) for m, v in terms)
-                rhs = -rhs
-            key = (terms, rel)
-            prev = best.get(key)
-            if prev is None:
-                best[key] = (idx, rhs)
-                kept.append(idx)
-            else:
-                pidx, prhs = prev
-                if rel == EQ and prhs != rhs:
-                    self.conflict = self._equality_conflict(pidx, idx)
-                elif (rel == GE and rhs > prhs) or (rel == LE and rhs < prhs):
-                    best[key] = (idx, rhs)
-                    kept.remove(pidx)
-                    kept.append(idx)
-        if trivial_bad is not None and self.conflict is None:
-            c = sys.constraints[trivial_bad]
-            lam = ONE if c.relation != LE else -ONE
-            if c.relation == EQ and c.rhs < 0:
-                lam = -ONE
-            self.conflict = Infeasible({trivial_bad: lam})
-        self.row_index = sorted(kept)
+        col_index = {m: i for i, m in enumerate(self.cols)}
+        self.ground = sys.ground
         self.rows = [
-            (self._terms(c.functional), c.relation, c.rhs)
-            for c in (sys.constraints[idx] for idx in self.row_index)
+            (tuple((col_index[m], v) for m, v in c.functional.terms), c.relation, c.rhs)
+            for c in sys.constraints
         ]
-        self.objective = self._terms(objective) if objective is not None else ()
-
-    def _terms(self, functional: LinearFunctional) -> tuple:
-        return tuple((self.col_index[m], v) for m, v in functional.terms)
-
-    def _equality_conflict(self, i: int, j: int) -> Infeasible:
-        a = self.sys.constraints[i]
-        b = self.sys.constraints[j]
-        sa = a.functional.terms[0][1]
-        sb = b.functional.terms[0][1]
-        # a/sa - b/sb = 0 functional; pick orientation with positive rhs gap.
-        gap = a.rhs / sa - b.rhs / sb
-        sign = ONE if gap > 0 else -ONE
-        return Infeasible({i: sign / sa, j: -sign / sb})
+        self.objective = (
+            tuple((col_index[m], v) for m, v in objective.terms)
+            if objective is not None
+            else ()
+        )
 
     def witness_from(self, x: Sequence) -> EntropyVector:
-        return EntropyVector(self.sys.ground, dict(zip(self.cols, x)), exact=True)
-
-    def multipliers_from_dict(self, lam: Mapping[int, object]) -> dict[int, object]:
-        return {self.row_index[i]: v for i, v in lam.items() if v != 0}
+        return EntropyVector(self.ground, dict(zip(self.cols, x)), exact=True)
 
 
 # --- exact linear algebra --------------------------------------------------------
@@ -392,33 +328,32 @@ def _row_dot(terms, x):
     return sum((v * x[j] for j, v in terms), ZERO)
 
 
-def _verify_point(canon: _Canon, x) -> bool:
-    for terms, rel, rhs in canon.rows:
-        lhs = _row_dot(terms, x)
-        if rel == GE and lhs < rhs:
-            return False
-        if rel == LE and lhs > rhs:
-            return False
-        if rel == EQ and lhs != rhs:
-            return False
-    return True
+def _holds(lhs, rel, rhs) -> bool:
+    if rel == GE:
+        return lhs >= rhs
+    if rel == LE:
+        return lhs <= rhs
+    return lhs == rhs
 
 
-def _check_multipliers(canon: _Canon, lam: Mapping[int, object], target, value) -> bool:
-    """``lam`` has the public signs, ``sum lam_i a_i`` equals the sparse
-    ``target`` terms and ``sum lam_i b_i`` equals ``value``."""
-    combo: dict[int, object] = {}
+def _combination(rows, lam: Mapping[int, object]):
+    """``(sum lam_i a_i, sum lam_i b_i)`` over ``rows[i] = (terms, rel,
+    b_i)``, the first as a dict key -> nonzero coefficient; None when
+    some ``lam_i`` breaks the sign rule of its row."""
+    combo: dict = {}
     total = ZERO
     for i, mult in lam.items():
-        terms, rel, rhs = canon.rows[i]
+        terms, rel, rhs = rows[i]
         if (rel == GE and mult < 0) or (rel == LE and mult > 0):
-            return False
+            return None
         for j, v in terms:
             combo[j] = combo.get(j, ZERO) + mult * v
         total += mult * rhs
-    for j, v in target:
-        combo[j] = combo.get(j, ZERO) - v
-    return all(v == 0 for v in combo.values()) and total == value
+    return {j: v for j, v in combo.items() if v != 0}, total
+
+
+def _verify_point(canon: _Canon, x) -> bool:
+    return all(_holds(_row_dot(terms, x), rel, rhs) for terms, rel, rhs in canon.rows)
 
 
 def _exact_multipliers(canon: _Canon, lam_float, target, value):
@@ -443,7 +378,7 @@ def _exact_multipliers(canon: _Canon, lam_float, target, value):
     if lam_exact is None:
         return None
     lam = {i: v for i, v in zip(support, lam_exact) if v != 0}
-    if lam and _check_multipliers(canon, lam, target, value):
+    if lam and _combination(canon.rows, lam) == (dict(target), value):
         return lam
     return None
 
@@ -563,7 +498,7 @@ def _elastic_verdict(canon: _Canon):
         if total > 0:
             lam = _exact_multipliers(canon, [v / total for v in lam_float], (), ONE)
             if lam is not None:
-                return Infeasible(canon.multipliers_from_dict(lam))
+                return Infeasible(lam)
     return None
 
 
@@ -572,45 +507,35 @@ def _exact_fallback(canon: _Canon, optimize: bool = False):
     result = simplex_solve(len(canon.cols), canon.rows, canon.objective)
     lam = {i: v for i, v in enumerate(result.duals or ()) if v != 0}
     if result.status == "infeasible":
-        return Infeasible(canon.multipliers_from_dict(lam))
+        return Infeasible(lam)
     if result.status == "unbounded":
         ray = {m: v for m, v in zip(canon.cols, result.ray) if v != 0}
         return Unbounded(canon.witness_from(result.x), ray)
     if not optimize:
         return Feasible(canon.witness_from(result.x))
-    return Optimal(
-        result.value, canon.witness_from(result.x), canon.multipliers_from_dict(lam)
-    )
+    return Optimal(result.value, canon.witness_from(result.x), lam)
 
 
 def solve_feasibility(sys: LinearSystem, warm_start: bool = True):
     """Exact feasibility: Feasible(witness) or Infeasible(certificate)."""
     canon = _Canon(sys, None)
-    if canon.conflict is not None:
-        return canon.conflict
     if not canon.rows:
         return Feasible(canon.witness_from([ZERO] * len(canon.cols)))
     verdict = _elastic_verdict(canon) if warm_start else None
     return verdict or _exact_fallback(canon)
 
 
-def minimize(sys: LinearSystem, objective: LinearFunctional | None = None):
-    """Exact two-phase optimization; Optimal/Unbounded/Infeasible."""
-    objective = objective or sys.objective
-    if objective is None:
+def minimize(sys: LinearSystem):
+    """Exact optimization of ``sys.objective``: Optimal with a verified
+    dual certificate, Unbounded, or Infeasible."""
+    if sys.objective is None:
         raise DomainError("minimize requires an objective")
-    canon = _Canon(sys, objective)
-    if canon.conflict is not None:
-        return canon.conflict
+    canon = _Canon(sys, sys.objective)
     res, x_float, lam_float = _highs(canon, objective=canon.objective)
     if res.status == 2:
         verdict = _elastic_verdict(canon)
         if isinstance(verdict, Infeasible):
             return verdict
-    if res.status == 3:
-        unb = _exact_unbounded(canon, objective)
-        if unb is not None:
-            return unb
     if x_float is not None:
         x = _exact_point_from_float(canon, x_float)
         if x is not None:
@@ -618,95 +543,36 @@ def minimize(sys: LinearSystem, objective: LinearFunctional | None = None):
             # exact dual certificate: sum lam_i a_i = objective, sum lam_i b_i = value
             lam = _exact_multipliers(canon, lam_float, canon.objective, value)
             if lam is not None:
-                lam = canon.multipliers_from_dict(lam)
-            return Optimal(value, canon.witness_from(x), lam)
+                return Optimal(value, canon.witness_from(x), lam)
     return _exact_fallback(canon, optimize=True)
 
 
-def _exact_unbounded(canon: _Canon, objective: LinearFunctional):
-    """Certify unboundedness: exact feasible point plus exact descent ray."""
-    base = solve_feasibility(canon.sys)
-    if not isinstance(base, Feasible):
-        return None
-    ground = canon.sys.ground
-    ray_constraints = []
-    for c in canon.sys.constraints:
-        if not c.functional.terms:
-            continue
-        rel = {GE: ">=", LE: "<=", EQ: "="}[c.relation]
-        ray_constraints.append(LinearConstraint(c.functional, rel, 0))
-    ray_constraints.append(LinearConstraint(objective, "=", -1))
-    ray_sys = LinearSystem(ground, ray_constraints)
-    ray_res = solve_feasibility(ray_sys)
-    if not isinstance(ray_res, Feasible):
-        return None
-    ray = {m: v for m, v in ray_res.witness.values.items() if v != 0}
-    return Unbounded(base.witness, ray)
-
-
 def verify_certificate(sys: LinearSystem, result) -> bool:
-    """Re-validate a result by exact arithmetic, independent of the solver."""
-    if isinstance(result, Feasible):
-        return all(c.holds_at(result.witness) for c in sys.constraints)
-    if isinstance(result, Optimal):
-        if not all(c.holds_at(result.witness) for c in sys.constraints):
-            return False
-        if result.dual_certificate is None:
-            return True
-        objective = sys.objective
-        if objective is None:
-            return True
-        combo: dict[int, object] = {}
-        total = ZERO
-        for i, mult in result.dual_certificate.items():
-            c = sys.constraints[i]
-            if c.relation == GE and mult < 0:
-                return False
-            if c.relation == LE and mult > 0:
-                return False
-            for m, v in c.functional.terms:
-                combo[m] = combo.get(m, ZERO) + mult * v
-            total += mult * c.rhs
-        target = dict(objective.terms)
-        for m in set(combo) | set(target):
-            if combo.get(m, ZERO) != target.get(m, ZERO):
-                return False
-        return total == result.value
+    """Re-validate a result by exact arithmetic, independent of the
+    solver, against every constraint of ``sys`` as given. A witness must
+    be over ``sys.ground``; an Optimal needs a dual certificate and an
+    Optimal or Unbounded needs ``sys.objective``."""
     if isinstance(result, Infeasible):
-        combo = {}
-        total = ZERO
-        for i, mult in result.certificate.items():
-            c = sys.constraints[i]
-            if c.relation == GE and mult < 0:
-                return False
-            if c.relation == LE and mult > 0:
-                return False
-            for m, v in c.functional.terms:
-                combo[m] = combo.get(m, ZERO) + mult * v
-            total += mult * c.rhs
-        return all(v == 0 for v in combo.values()) and total > 0
-    if isinstance(result, Unbounded):
-        if not all(c.holds_at(result.witness) for c in sys.constraints):
+        rows = [(c.functional.terms, c.relation, c.rhs) for c in sys.constraints]
+        combo = _combination(rows, result.certificate)
+        return combo is not None and not combo[0] and combo[1] > 0
+    if not isinstance(result, (Feasible, Optimal, Unbounded)):
+        raise DomainError(f"unknown result type {type(result).__name__}")
+    witness = result.witness
+    if witness.ground != sys.ground or not all(c.holds_at(witness) for c in sys.constraints):
+        return False
+    if isinstance(result, Feasible):
+        return True
+    objective = sys.objective
+    if objective is None:
+        return False
+    if isinstance(result, Optimal):
+        if result.dual_certificate is None:
             return False
-        objective = sys.objective
-        ray = result.ray
-        for c in sys.constraints:
-            d = sum((v * ray.get(m, ZERO) for m, v in c.functional.terms), ZERO)
-            if c.relation == GE and d < 0:
-                return False
-            if c.relation == LE and d > 0:
-                return False
-            if c.relation == EQ and d != 0:
-                return False
-        if objective is None:
-            return True
-        slope = sum((v * ray.get(m, ZERO) for m, v in objective.terms), ZERO)
-        return slope < 0
-    raise DomainError(f"unknown result type {type(result).__name__}")
-
-
-def dump_system(sys: LinearSystem) -> str:
-    """Text dump, one constraint per line: `<coeff>*h{A,B} ... <rel> <rhs>`."""
-    return sys.render()
-
-
+        rows = [(c.functional.terms, c.relation, c.rhs) for c in sys.constraints]
+        combo = _combination(rows, result.dual_certificate)
+        return combo == (dict(objective.terms), result.value)
+    ray = EntropyVector(sys.ground, result.ray)
+    return objective.evaluate(ray) < 0 and all(
+        _holds(c.functional.evaluate(ray), c.relation, ZERO) for c in sys.constraints
+    )

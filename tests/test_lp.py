@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from entrolab import lp
 from entrolab._rational import rational
-from entrolab.core import DomainError, GroundSet, LinearFunctional
+from entrolab.core import DomainError, EntropyVector, GroundSet, LinearFunctional
 from entrolab.lp import (
     Feasible,
     Infeasible,
@@ -12,7 +13,6 @@ from entrolab.lp import (
     LinearSystem,
     Optimal,
     Unbounded,
-    dump_system,
     minimize,
     solve_feasibility,
     verify_certificate,
@@ -94,9 +94,40 @@ def test_fractional_optimum_is_exact():
     assert verify_certificate(s, r)
 
 
+def _fractional_lp():
+    # min x + y  s.t.  3x + y >= 1, x + 3y >= 1: optimum 1/2 at (1/4, 1/4)
+    rows = [LinearConstraint(lf([3, 1]), ">=", 1), LinearConstraint(lf([1, 3]), ">=", 1)]
+    return LinearSystem(var_system(2), rows, objective=lf([1, 1]))
+
+
+def test_optimal_without_dual_or_objective_rejected():
+    s = _fractional_lp()
+    r = minimize(s)
+    assert verify_certificate(s, r)
+    assert not verify_certificate(s, Optimal(r.value, r.witness, None))
+    bare = LinearSystem(s.ground, s.constraints)
+    assert not verify_certificate(bare, r)
+
+
+def test_minimize_dual_miss_falls_back_to_verified_dual(monkeypatch):
+    monkeypatch.setattr(lp, "_exact_multipliers", lambda *args: None)
+    s = _fractional_lp()
+    r = minimize(s)
+    assert isinstance(r, Optimal) and r.value == rational(1, 2)
+    assert r.dual_certificate and verify_certificate(s, r)
+
+
+def test_witness_over_another_ground_rejected():
+    s = LinearSystem(var_system(2), [LinearConstraint(lf([1, 1]), ">=", 1)])
+    r = solve_feasibility(s)
+    assert isinstance(r, Feasible) and verify_certificate(s, r)
+    other = EntropyVector(GroundSet(("X", "Y", "Z")), dict(r.witness.values))
+    assert not verify_certificate(s, Feasible(other))
+
+
 def test_dump_system_format():
     s = LinearSystem(G1, [LinearConstraint(X, ">=", rational(1, 2))])
-    out = dump_system(s)
+    out = s.render()
     assert out == "1*h{A} >= 1/2"
 
 

@@ -1,7 +1,8 @@
 """The exact simplex fallback against the warm path and ``minimize``.
 
 Random LPs over at most four columns, with equality rows, negative
-right-hand sides, duplicated rows and infeasible systems, are solved
+right-hand sides, duplicated rows, empty rows, conflicting equality
+copies and infeasible systems, are solved
 both ways; every verdict must pass ``verify_certificate``. The last test
 is a delta*-relaxed network LP whose float point misses its exact
 reconstruction, so it is settled by the simplex.
@@ -42,6 +43,13 @@ def systems(draw, objective=False):
     for _ in range(draw(st.integers(0, 2))):
         rows.append(draw(st.sampled_from(rows)))  # a duplicate row
     if draw(st.booleans()):
+        # an empty functional: 0 rel rhs, true or false
+        rows.append(LinearConstraint(LinearFunctional(()), draw(st.sampled_from(RELS)), draw(value)))
+    if draw(st.booleans()):
+        # an equality copy of a row, with a different rhs
+        c = draw(st.sampled_from(rows))
+        rows.append(LinearConstraint(c.functional, "==", c.rhs + draw(st.sampled_from((-1, 1)))))
+    if draw(st.booleans()):
         # a contradiction: some row's functional pushed past its rhs
         c = draw(st.sampled_from(rows))
         if c.relation == "<=":
@@ -69,9 +77,7 @@ def test_cold_verdict_matches_warm(sys_):
 @given(systems(objective=True))
 @settings(max_examples=100, deadline=None)
 def test_fallback_optimum_matches_minimize(sys_):
-    canon = lp._Canon(sys_, sys_.objective)
-    assume(canon.conflict is None)
-    exact = lp._exact_fallback(canon, optimize=True)
+    exact = lp._exact_fallback(lp._Canon(sys_, sys_.objective), optimize=True)
     res = minimize(sys_)
     assert type(exact) is type(res)
     if isinstance(res, Optimal):
