@@ -10,7 +10,8 @@ at a time, and writes ``BENCH_<label>.json`` to the current directory: the
 checkout's commit, the machine (cores, Python), and each run's result line
 as entrobench printed it with its elapsed seconds (``run_s``), plus the
 per-workload medians of its metrics. A run that has not finished after
-``RUN_TIMEOUT_S`` seconds is stopped and recorded as an error.
+``RUN_TIMEOUT_S`` seconds is stopped and recorded as an error; each
+workload's medians carry the count of such runs as ``errors``.
 Compare two labels by running the script once per checkout.
 """
 
@@ -62,16 +63,22 @@ def run_one(checkout: Path, workload: str, seed: int) -> dict:
 
 
 def medians(runs: list) -> dict:
+    """Per workload: the medians of its metrics over the runs that
+    finished, and ``errors``, the number of runs that did not."""
     out: dict = {}
     for workload in WORKLOADS:
-        results = [r["result"] for r in runs if r["workload"] == workload and "result" in r]
+        mine = [r for r in runs if r["workload"] == workload]
+        if not mine:
+            continue
+        results = [r["result"] for r in mine if "result" in r]
+        out[workload] = {"errors": len(mine) - len(results)}
         if not results:
             continue
         names = results[0]["metrics"]
-        out[workload] = {
-            name: statistics.median(r["metrics"][name]["value"] for r in results)
+        out[workload].update(
+            (name, statistics.median(r["metrics"][name]["value"] for r in results))
             for name in names
-        }
+        )
         out[workload]["fail_frac"] = statistics.median(
             r["failed"] / r["attempted"] for r in results)
         out[workload]["correct"] = all(r["correct"] for r in results)

@@ -33,6 +33,9 @@ RELATIONS = {">=": GE, "<=": LE, "=": EQ, "==": EQ, "≥": GE, "≤": LE}
 _ANCHOR_DEN = 10**12
 _ACTIVE_TOL = 1e-7
 _SUPPORT_TOL = 1e-9
+# HiGHS primal and dual feasibility tolerance: at its 1e-7 default, duals
+# of that size come back with the wrong sign and Farkas supports miss rows
+_HIGHS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -120,16 +123,13 @@ class _Canon:
             masks.update(m for m, _ in objective.terms)
         self.cols = sorted(masks)  # deterministic: lexicographic by bitmask
         col_index = {m: i for i, m in enumerate(self.cols)}
+
+        def terms(functional):
+            return tuple((col_index[m], v) for m, v in functional.terms)
+
         self.ground = sys.ground
-        self.rows = [
-            (tuple((col_index[m], v) for m, v in c.functional.terms), c.relation, c.rhs)
-            for c in sys.constraints
-        ]
-        self.objective = (
-            tuple((col_index[m], v) for m, v in objective.terms)
-            if objective is not None
-            else ()
-        )
+        self.rows = [(terms(c.functional), c.relation, c.rhs) for c in sys.constraints]
+        self.objective = terms(objective) if objective is not None else ()
 
     def witness_from(self, x: Sequence) -> EntropyVector:
         return EntropyVector(self.ground, dict(zip(self.cols, x)), exact=True)
@@ -446,6 +446,10 @@ def _highs(canon: _Canon, objective=None, elastic=False):
         b_eq=b_eq if eq else None,
         bounds=bounds,
         method="highs",
+        options={
+            "primal_feasibility_tolerance": _HIGHS_TOL,
+            "dual_feasibility_tolerance": _HIGHS_TOL,
+        },
     )
     if res.status != 0:
         return res, None, None
@@ -547,14 +551,18 @@ def minimize(sys: LinearSystem):
     return _exact_fallback(canon, optimize=True)
 
 
+def _mask_rows(sys: LinearSystem) -> list:
+    """The constraints as ``(terms, rel, rhs)`` rows over subset masks."""
+    return [(c.functional.terms, c.relation, c.rhs) for c in sys.constraints]
+
+
 def verify_certificate(sys: LinearSystem, result) -> bool:
     """Re-validate a result by exact arithmetic, independent of the
     solver, against every constraint of ``sys`` as given. A witness must
     be over ``sys.ground``; an Optimal needs a dual certificate and an
     Optimal or Unbounded needs ``sys.objective``."""
     if isinstance(result, Infeasible):
-        rows = [(c.functional.terms, c.relation, c.rhs) for c in sys.constraints]
-        combo = _combination(rows, result.certificate)
+        combo = _combination(_mask_rows(sys), result.certificate)
         return combo is not None and not combo[0] and combo[1] > 0
     if not isinstance(result, (Feasible, Optimal, Unbounded)):
         raise DomainError(f"unknown result type {type(result).__name__}")
@@ -569,8 +577,7 @@ def verify_certificate(sys: LinearSystem, result) -> bool:
     if isinstance(result, Optimal):
         if result.dual_certificate is None:
             return False
-        rows = [(c.functional.terms, c.relation, c.rhs) for c in sys.constraints]
-        combo = _combination(rows, result.dual_certificate)
+        combo = _combination(_mask_rows(sys), result.dual_certificate)
         return combo == (dict(objective.terms), result.value)
     ray = EntropyVector(sys.ground, result.ray)
     return objective.evaluate(ray) < 0 and all(

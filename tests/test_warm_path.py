@@ -26,6 +26,8 @@ from entrolab.lp import (
     verify_certificate,
 )
 from entrolab.network import (
+    AuxSpec,
+    CapacityTuple,
     Edge,
     NetworkProblem,
     Source,
@@ -68,6 +70,24 @@ def test_bundled_base_and_gk_lps():
     p = example1_problem()
     assert isinstance(warm_verdict(build_lp_constraints(p)), Feasible)
     assert isinstance(warm_verdict(build_lp_constraints(p, aux=example1_aux())), Infeasible)
+
+
+def test_relabelled_gk_lp_with_small_wrong_signed_duals():
+    # this arrangement of the bundled GK LP has elastic duals of about
+    # 1e-7 with the wrong sign on about a hundred rows unless HiGHS runs
+    # at tight feasibility tolerances; at the defaults the Farkas support
+    # misses two needed rows and the verdict went to the exact simplex
+    p = example1_problem()
+    order = {s.id: s for s in p.sources}
+    sources = tuple(order[k] for k in ("Y1", "Y3", "Y2"))
+    edges = {e.id: e for e in p.edges}
+    edges = tuple(edges[k] for k in ("e3", "e2", "r3", "e1", "e4", "r1", "r2"))
+    p = NetworkProblem(p.nodes, edges, sources, p.source_model)
+    gk, _ = pairwise_aux_for_network(p, "gk")
+    gk = AuxSpec(functions=tuple(gk.functions[i] for i in (1, 0, 2)))
+    assert [f.id for f in gk.functions] == ["K13", "K12", "K23"]
+    caps = CapacityTuple({k: 1 for k in ("e1", "e2", "e3", "e4")})
+    assert isinstance(warm_verdict(build_lp_constraints(p, caps, aux=gk)), Infeasible)
 
 
 def test_farkas_support_without_full_rank():
