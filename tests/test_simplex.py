@@ -2,10 +2,10 @@
 
 Random LPs over at most four columns, with equality rows, negative
 right-hand sides, duplicated rows, empty rows, conflicting equality
-copies and infeasible systems, are solved
-both ways; every verdict must pass ``verify_certificate``. The last test
-is a delta*-relaxed network LP whose float point misses its exact
-reconstruction, so it is settled by the simplex.
+copies and infeasible systems, are solved both ways; every verdict must
+pass ``verify_certificate``. The last test is a delta*-relaxed network
+LP whose float point misses its exact reconstruction, so it is settled
+by the simplex.
 """
 
 import time
@@ -44,7 +44,8 @@ def systems(draw, objective=False):
         rows.append(draw(st.sampled_from(rows)))  # a duplicate row
     if draw(st.booleans()):
         # an empty functional: 0 rel rhs, true or false
-        rows.append(LinearConstraint(LinearFunctional(()), draw(st.sampled_from(RELS)), draw(value)))
+        empty = LinearFunctional(())
+        rows.append(LinearConstraint(empty, draw(st.sampled_from(RELS)), draw(value)))
     if draw(st.booleans()):
         # an equality copy of a row, with a different rhs
         c = draw(st.sampled_from(rows))

@@ -74,9 +74,9 @@ def test_bundled_base_and_gk_lps():
 
 def test_relabelled_gk_lp_with_small_wrong_signed_duals():
     # this arrangement of the bundled GK LP has elastic duals of about
-    # 1e-7 with the wrong sign on about a hundred rows unless HiGHS runs
-    # at tight feasibility tolerances; at the defaults the Farkas support
-    # misses two needed rows and the verdict went to the exact simplex
+    # 1e-7 with the wrong sign unless HiGHS runs at tolerances tighter
+    # than its 1e-7 defaults; at the defaults the Farkas support misses
+    # rows the certificate needs and the verdict needs the exact simplex
     p = example1_problem()
     order = {s.id: s for s in p.sources}
     sources = tuple(order[k] for k in ("Y1", "Y3", "Y2"))
