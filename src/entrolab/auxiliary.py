@@ -99,40 +99,37 @@ def _plogp(p: float) -> float:
     return -p * math.log2(p) if p > 0 else 0.0
 
 
-def _delta_components(pairs, probs, q, k_size):
-    """(H(K|X), H(K|Y), I(X;Y|K)) for conditional rows ``q`` over pairs."""
-    xs = sorted({x for x, _ in pairs})
-    ys = sorted({y for _, y in pairs})
-    hkx = 0.0
-    for xv in xs:
-        rows = [(probs[i], q[i]) for i, (x, _) in enumerate(pairs) if x == xv]
-        px = sum(p for p, _ in rows)
-        for k in range(k_size):
-            hkx += px * _plogp(sum(p * row[k] for p, row in rows) / px)
-    hky = 0.0
-    for yv in ys:
-        rows = [(probs[i], q[i]) for i, (_, y) in enumerate(pairs) if y == yv]
-        py = sum(p for p, _ in rows)
-        for k in range(k_size):
-            hky += py * _plogp(sum(p * row[k] for p, row in rows) / py)
+def _delta_components(classes, probs, q, k_size):
+    """(H(K|X), H(K|Y), I(X;Y|K)) for conditional rows ``q`` over the
+    support pairs; ``classes`` holds, for X and then for Y, the pair
+    indices of each value in value order."""
+    # masses[side][value][k]: P(value, K = k)
+    masses = [
+        [[sum(probs[i] * q[i][k] for i in cls) for k in range(k_size)] for cls in side]
+        for side in classes
+    ]
+    h_given = []
+    for side, side_masses in zip(classes, masses):
+        h = 0.0
+        for cls, mass in zip(side, side_masses):
+            pc = sum(probs[i] for i in cls)
+            for k in range(k_size):
+                h += pc * _plogp(mass[k] / pc)
+        h_given.append(h)
     ixy_k = 0.0
     for k in range(k_size):
-        rk = sum(probs[i] * q[i][k] for i in range(len(pairs)))
+        rk = sum(probs[i] * q[i][k] for i in range(len(probs)))
         if rk <= 0:
             continue
         hx = hy = hxy = 0.0
-        for xv in xs:
-            hx += _plogp(
-                sum(probs[i] * q[i][k] for i, (x, _) in enumerate(pairs) if x == xv) / rk
-            )
-        for yv in ys:
-            hy += _plogp(
-                sum(probs[i] * q[i][k] for i, (_, y) in enumerate(pairs) if y == yv) / rk
-            )
-        for i in range(len(pairs)):
+        for mass in masses[0]:
+            hx += _plogp(mass[k] / rk)
+        for mass in masses[1]:
+            hy += _plogp(mass[k] / rk)
+        for i in range(len(probs)):
             hxy += _plogp(probs[i] * q[i][k] / rk)
         ixy_k += rk * (hx + hy - hxy)
-    return hkx, hky, max(ixy_k, 0.0)
+    return h_given[0], h_given[1], max(ixy_k, 0.0)
 
 
 def delta_star_search(
@@ -182,8 +179,13 @@ def delta_star_search(
             q.append(tuple(v / s for v in row))
         starts.append(q)
 
+    classes = [
+        [[i for i, o in enumerate(pairs) if o[axis] == v] for v in values]
+        for axis, values in enumerate((xs, ys))
+    ]
+
     def score(q):
-        return max(_delta_components(pairs, probs, q, k))
+        return max(_delta_components(classes, probs, q, k))
 
     best_q, best = None, math.inf
     for q in starts:
@@ -207,7 +209,7 @@ def delta_star_search(
                             q[i] = cur_row
         if val < best:
             best, best_q = val, q
-    comps = _delta_components(pairs, probs, best_q, k)
+    comps = _delta_components(classes, probs, best_q, k)
     return DeltaSearchResult(best, tuple(best_q), tuple(pairs), comps)
 
 
@@ -285,139 +287,98 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     raise DomainError(f"{q} is not a prime power")
 
 
+def _poly_rem(a: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
+    """Remainder of ``a`` modulo the monic ``mod`` over F_p; polynomials
+    are coefficient lists, low degree first."""
+    rem = list(a)
+    deg = len(mod) - 1
+    for top in range(len(rem) - 1, deg - 1, -1):
+        lead = rem[top]
+        if lead:
+            for i, c in enumerate(mod):
+                rem[top - deg + i] = (rem[top - deg + i] - lead * c) % p
+    return rem[:deg]
+
+
 class GF:
     """Arithmetic in F_q, q = p^k <= 256; elements are ints 0..q-1,
-    base-p digits being polynomial coefficients (low degree first)."""
+    base-p digits being polynomial coefficients (low degree first).
+
+    ``poly`` is the first monic irreducible of degree k with a nonzero
+    constant term, its low coefficients in ``itertools.product`` order;
+    products are read off exp/log tables of the first element whose
+    powers exhaust the nonzero elements."""
 
     def __init__(self, q: int):
         if q > 256:
             raise DomainError("field order limited to 256")
         self.q = q
-        self.p, self.k = _factor_prime_power(q)
-        if self.k == 1:
-            self._mul = lambda a, b: a * b % self.p
-        else:
-            self.poly = self._find_irreducible()
-            self._exp, self._log = self._build_tables()
-            self._mul = self._table_mul
+        p, k = _factor_prime_power(q)
+        self.p, self.k = p, k
+        self.poly = next(
+            mod
+            for mod in (list(tail) + [1] for tail in itertools.product(range(p), repeat=k))
+            if mod[0]
+            and all(
+                any(_poly_rem(mod, list(tail) + [1], p))
+                for d in range(1, k // 2 + 1)
+                for tail in itertools.product(range(p), repeat=d)
+            )
+        )
+        self._exp = next(
+            exp for exp in map(self._powers, range(1, q)) if len(set(exp)) == q - 1
+        )
+        self._log = [0] * q
+        for i, v in enumerate(self._exp):
+            self._log[v] = i
 
-    # polynomial helpers over F_p, coefficient lists low-first
     def _digits(self, a: int) -> list[int]:
         out = []
-        for _ in range(self.k + 1):
+        for _ in range(self.k):
             out.append(a % self.p)
             a //= self.p
         return out
 
-    def _poly_mul_mod(self, a: int, b: int, mod: list[int]) -> int:
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.k + 2)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        # reduce by the monic modulus
-        deg = len(mod) - 1
-        while len(prod) > deg:
-            lead = prod.pop()
-            if lead:
-                for i in range(deg):
-                    prod[len(prod) - deg + i] = (prod[len(prod) - deg + i] - lead * mod[i]) % self.p
+    def _value(self, digits: Sequence[int]) -> int:
         val = 0
-        for c in reversed(prod):
-            val = val * self.p + c
+        for c in reversed(digits):
+            val = val * self.p + c % self.p
         return val
 
-    def _find_irreducible(self) -> list[int]:
-        p, k = self.p, self.k
-        for tail in itertools.product(range(p), repeat=k):
-            mod = list(tail) + [1]
-            if self._is_irreducible(mod):
-                return mod
-        raise DomainError("no irreducible polynomial found")  # unreachable
-
-    def _is_irreducible(self, mod: list[int]) -> bool:
-        p, k = self.p, self.k
-        if mod[0] == 0:
-            return False
-        # trial division by all monic polynomials of degree 1..k//2
-        for d in range(1, k // 2 + 1):
-            for tail in itertools.product(range(p), repeat=d):
-                div = list(tail) + [1]
-                if self._poly_divides(div, mod):
-                    return False
-        return True
-
-    def _poly_divides(self, div: list[int], mod: list[int]) -> bool:
-        rem = list(mod)
-        p = self.p
-        inv_lead = pow(div[-1], p - 2, p)
-        while len(rem) >= len(div) and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) < len(div):
-                break
-            f = rem[-1] * inv_lead % p
-            off = len(rem) - len(div)
-            for i, c in enumerate(div):
-                rem[off + i] = (rem[off + i] - f * c) % p
-        return not any(rem)
-
-    def _build_tables(self):
-        q = self.q
-        for g in range(2, q):
-            seen = [0] * q
-            exp = []
-            x = 1
-            ok = True
-            for _ in range(q - 1):
-                if seen[x]:
-                    ok = False
-                    break
-                seen[x] = 1
-                exp.append(x)
-                x = self._poly_mul_mod(x, g, self.poly)
-            if ok:
-                log = [0] * q
-                for i, v in enumerate(exp):
-                    log[v] = i
-                return exp, log
-        raise DomainError("no generator found")  # unreachable
-
-    def _table_mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+    def _powers(self, g: int) -> list[int]:
+        """1, g, ..., g^(q-2), multiplying polynomials modulo ``poly``."""
+        dg = self._digits(g)
+        out = [1]
+        for _ in range(self.q - 2):
+            prod = [0] * (2 * self.k)
+            for i, x in enumerate(self._digits(out[-1])):
+                for j, y in enumerate(dg):
+                    prod[i + j] += x * y
+            out.append(self._value(_poly_rem(prod, self.poly, self.p)))
+        return out
 
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        val = 0
-        for x, y in zip(reversed(da), reversed(db)):
-            val = val * self.p + (x + y) % self.p
-        return val
+        return self._value([x + y for x, y in zip(self._digits(a), self._digits(b))])
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return -a % self.p
-        val = 0
-        for x in reversed(self._digits(a)):
-            val = val * self.p + (-x) % self.p
-        return val
+        return self._value([-x for x in self._digits(a)])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        return self._mul(a, b)
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DomainError("zero has no inverse")
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
-        return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
+        return self._exp[-self._log[a] % (self.q - 1)]
 
 
 def _column_reduce(field: GF, columns: list[list[int]], context: str) -> list[list[int]]:
@@ -463,7 +424,7 @@ class SubspaceModel:
             gens[name] = _column_reduce(field, cols, name)
         object.__setattr__(self, "generators", gens)
 
-    def distribution(self, include_aux: bool = True) -> JointDistribution:
+    def distribution(self) -> JointDistribution:
         """Uniform joint distribution of the basis variables K_1..K_m
         and the sources Y = K A (components joined by ``,``)."""
         field = GF(self.q)
@@ -486,10 +447,7 @@ class SubspaceModel:
             tuple(sorted({o[self.m + i] for o in pmf}))
             for i in range(len(self.generators))
         ]
-        dist = JointDistribution(names, alphabets, pmf)
-        if include_aux:
-            return dist
-        return dist.restrict(list(self.generators))
+        return JointDistribution(names, alphabets, pmf)
 
 
 def _uniform_entropy(count: int):

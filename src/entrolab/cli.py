@@ -8,6 +8,7 @@ for fixed inputs and seeds, except for the timing fields.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import random
@@ -30,8 +31,6 @@ from .auxiliary import (
 )
 from .network import (
     CapacityTuple,
-    FailsCutset,
-    FailsFD,
     aux_spec_to_json,
     build_lp_constraints,
     cutset_check,
@@ -51,9 +50,17 @@ from .recovery import (
 )
 
 
-def _digest(path: str) -> str:
+def _read(args, path: str, load):
+    """``load(path)``, recording the file's sha256 in the report's inputs."""
+    data = load(path)
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        args.digests[path] = hashlib.sha256(fh.read()).hexdigest()
+    return data
+
+
+def _load_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _witness_json(witness) -> dict:
@@ -104,14 +111,9 @@ def _base_report(args, status: str, **payload) -> dict:
 
 
 def _load_problem_arg(args):
-    digests = {}
     if getattr(args, "problem", None):
-        p = load_problem(args.problem)
-        digests[args.problem] = _digest(args.problem)
-    else:
-        p = example1_problem()
-    args.digests = digests
-    return p
+        return _read(args, args.problem, load_problem)
+    return example1_problem()
 
 
 def _capacities_arg(args, p):
@@ -131,9 +133,7 @@ def _aux_arg(args, p):
     if args.bound_command == "check":
         return None
     if getattr(args, "aux", None):
-        aux = load_aux_spec(args.aux)
-        args.digests[args.aux] = _digest(args.aux)
-        return aux
+        return _read(args, args.aux, load_aux_spec)
     aux, _ = pairwise_aux_for_network(p, "gk")
     return aux
 
@@ -160,59 +160,31 @@ def _run_bound(args) -> dict:
     C = _capacities_arg(args, p)
     if args.bound_command in ("check", "improve", "example1"):
         return _lp_report(args, build_lp_constraints(p, C, aux=_aux_arg(args, p)))
-    if args.bound_command == "cutset":
-        res = cutset_check(p, C)
-        if isinstance(res, FailsCutset):
-            return _base_report(
-                args,
-                "FailsCutset",
-                cut_nodes=list(res.cut_nodes),
-                sources=list(res.sources),
-                lhs=format_rational(rational(res.lhs)),
-                rhs=format_rational(rational(res.rhs)),
-            )
-        return _base_report(args, "PassesCutset", cuts_checked=res.cuts_checked)
-    res = fd_bound(p, C)
-    if isinstance(res, FailsFD):
-        return _base_report(
-            args,
-            "FailsFD",
-            sources=list(res.sources),
-            edge_set=list(res.edge_set),
-            lhs=format_rational(rational(res.lhs)),
-            rhs=format_rational(rational(res.rhs)),
-        )
-    return _base_report(args, "PassesFD", warnings=list(res.warnings))
+    res = cutset_check(p, C) if args.bound_command == "cutset" else fd_bound(p, C)
+    fields = dataclasses.asdict(res)
+    fields = {k: list(v) if isinstance(v, tuple) else v for k, v in fields.items()}
+    return _base_report(args, type(res).__name__, **fields)
 
 
 def _run_aux(args) -> dict:
+    extra = {}
     if args.aux_command == "linear":
-        with open(args.model) as fh:
-            data = json.load(fh)
-        args.digests = {args.model: _digest(args.model)}
-        model = SubspaceModel(data["q"], data["m"], data["generators"])
-        spec, rows = linear_basis_aux(model)
-        if args.out:
-            save_aux_spec(spec, args.out)
-        return _base_report(
-            args, "computed", aux=aux_spec_to_json(spec), rows=len(rows), out=args.out
+        data = _read(args, args.model, _load_json)
+        spec, rows = linear_basis_aux(SubspaceModel(data["q"], data["m"], data["generators"]))
+        extra["rows"] = len(rows)
+    elif args.aux_command == "gk":
+        spec, _ = pairwise_aux_for_network(_load_problem_arg(args), "gk")
+    else:
+        spec, _ = pairwise_aux_for_network(
+            _load_problem_arg(args),
+            "delta",
+            seed=args.seed,
+            resolution=args.resolution,
+            restarts=args.restarts,
         )
-    p = _load_problem_arg(args)
-    if args.aux_command == "gk":
-        spec, rows = pairwise_aux_for_network(p, "gk")
-        if args.out:
-            save_aux_spec(spec, args.out)
-        return _base_report(args, "computed", aux=aux_spec_to_json(spec), out=args.out)
-    spec, rows = pairwise_aux_for_network(
-        p,
-        "delta",
-        seed=args.seed,
-        resolution=args.resolution,
-        restarts=args.restarts,
-    )
     if args.out:
         save_aux_spec(spec, args.out)
-    return _base_report(args, "computed", aux=aux_spec_to_json(spec), out=args.out)
+    return _base_report(args, "computed", aux=aux_spec_to_json(spec), **extra, out=args.out)
 
 
 def _run_recover(args) -> dict:
@@ -234,28 +206,17 @@ def _run_recover(args) -> dict:
             args, status, trials=args.trials, n=args.n, failures=failures
         )
     if args.distribution:
-        args.digests = {args.distribution: _digest(args.distribution)}
-        dist = load_distribution(args.distribution)
-        family = build_indicator_family(dist)
-        rec = recover_distribution(
-            RecoveryInput.from_family(family, shuffle_seed=args.shuffle_seed)
+        family = build_indicator_family(_read(args, args.distribution, load_distribution))
+        inp = RecoveryInput.from_family(family, shuffle_seed=args.shuffle_seed)
+    elif args.entropies:
+        data = _read(args, args.entropies, _load_json)
+        if args.n is None:
+            raise DomainError("--n is required with --entropies")
+        inp = RecoveryInput.from_table(
+            args.n, tuple(data["members"]), {k: float(v) for k, v in data["entropies"].items()}
         )
-        return _base_report(
-            args,
-            "recovered",
-            probabilities=list(rec.probabilities),
-            provenance=dict(rec.provenance),
-        )
-    if not args.entropies:
+    else:
         raise DomainError("one of --self-test, --distribution, --entropies is required")
-    args.digests = {args.entropies: _digest(args.entropies)}
-    with open(args.entropies) as fh:
-        data = json.load(fh)
-    if args.n is None:
-        raise DomainError("--n is required with --entropies")
-    inp = RecoveryInput.from_table(
-        args.n, tuple(data["members"]), {k: float(v) for k, v in data["entropies"].items()}
-    )
     rec = recover_distribution(inp)
     return _base_report(
         args,
@@ -266,9 +227,7 @@ def _run_recover(args) -> dict:
 
 
 def _run_verify_properties(args) -> dict:
-    args.digests = {args.distribution: _digest(args.distribution)}
-    dist = load_distribution(args.distribution)
-    report = verify_properties(dist)
+    report = verify_properties(_read(args, args.distribution, load_distribution))
     return _base_report(
         args,
         "ok" if report.ok else "violations",
@@ -280,10 +239,7 @@ def _run_verify_properties(args) -> dict:
 def _run_dump_lp(args) -> dict:
     p = _load_problem_arg(args)
     C = _capacities_arg(args, p)
-    aux = None
-    if getattr(args, "aux", None):
-        aux = load_aux_spec(args.aux)
-        args.digests[args.aux] = _digest(args.aux)
+    aux = _read(args, args.aux, load_aux_spec) if args.aux else None
     sys_ = build_lp_constraints(p, C, aux=aux)
     return _base_report(
         args,

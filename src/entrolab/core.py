@@ -7,7 +7,7 @@ number of bits to each of the 2**n - 1 nonempty subsets.
 
 Entropy of an explicit distribution is irrational in general. Values
 are stored as dyadic rationals produced by fixed-precision base-2
-logarithms (``ENTROLAB_PRECISION_BITS`` bits, default 64) and each
+logarithms (``PRECISION_BITS`` = 64 bits) and each
 vector carries an ``exact`` flag: vectors whose marginals are all
 uniform over power-of-two supports are exact by construction.
 """
@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -25,11 +24,7 @@ import mpmath
 
 from ._rational import ZERO, format_rational, is_dyadic_unit, rational
 
-DEFAULT_PRECISION_BITS = 64
-
-
-def precision_bits() -> int:
-    return int(os.environ.get("ENTROLAB_PRECISION_BITS", DEFAULT_PRECISION_BITS))
+PRECISION_BITS = 64
 
 
 class DomainError(ValueError):
@@ -106,9 +101,6 @@ class LinearFunctional:
         f = rational(factor)
         return LinearFunctional([(m, c * f) for m, c in self.terms])
 
-    def __add__(self, other: "LinearFunctional") -> "LinearFunctional":
-        return LinearFunctional(self.terms + other.terms)
-
     def render(self, ground: GroundSet) -> str:
         parts = []
         for mask, coeff in self.terms:
@@ -151,12 +143,6 @@ class EntropyVector:
         if mask < 0 or mask > self.ground.full_mask:
             raise DomainError(f"subset mask {mask} out of range")
         return self.values.get(mask, ZERO)
-
-    def conditional(self, a_mask: int, b_mask: int):
-        return conditional_functional(a_mask, b_mask).evaluate(self)
-
-    def mutual(self, a_mask: int, b_mask: int, c_mask: int = 0):
-        return mutual_functional(a_mask, b_mask, c_mask).evaluate(self)
 
 
 @dataclass(frozen=True)
@@ -225,13 +211,12 @@ def _entropy_of_probs(probs: Iterable) -> tuple[object, bool]:
     if all(is_dyadic_unit(p) for p in positive):
         # p = 2**-k contributes exactly k * 2**-k bits.
         return sum((p * p.denominator.bit_length() - p for p in positive), ZERO), True
-    bits = precision_bits()
-    with mpmath.workprec(bits + 32):
+    with mpmath.workprec(PRECISION_BITS + 32):
         acc = mpmath.mpf(0)
         for p in positive:
             x = mpmath.mpf(int(p.numerator)) / int(p.denominator)
             acc -= x * mpmath.log(x, 2)
-        scale = 1 << bits
+        scale = 1 << PRECISION_BITS
         return rational(int(mpmath.nint(acc * scale)), scale), False
 
 
@@ -272,8 +257,6 @@ def elemental_inequalities(n: int) -> list[LinearFunctional]:
     and I(i;j|K) >= 0 for each unordered pair i != j and K inside the rest.
     Count: n + C(n,2) * 2**(n-2) for n >= 2; a single h(1) >= 0 for n = 1.
     """
-    if isinstance(n, GroundSet):
-        n = n.n
     if n < 1:
         raise DomainError("need at least one variable")
     if n == 1:
@@ -302,7 +285,7 @@ def is_polymatroid(h: EntropyVector, tolerance=None) -> tuple[bool, list[LinearF
     zeros, unless an explicit tolerance is given.
     """
     if tolerance is None:
-        tolerance = ZERO if h.exact else rational(1, 1 << max(precision_bits() - 16, 8))
+        tolerance = ZERO if h.exact else rational(1, 1 << (PRECISION_BITS - 16))
     violated = [f for f in elemental_inequalities(h.ground.n) if f.evaluate(h) < -tolerance]
     return not violated, violated
 

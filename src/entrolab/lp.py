@@ -551,18 +551,23 @@ def minimize(sys: LinearSystem):
     return _exact_fallback(canon, optimize=True)
 
 
-def _mask_rows(sys: LinearSystem) -> list:
-    """The constraints as ``(terms, rel, rhs)`` rows over subset masks."""
-    return [(c.functional.terms, c.relation, c.rhs) for c in sys.constraints]
+def _certificate_combination(sys: LinearSystem, cert: Mapping[int, object]):
+    """``_combination`` of the constraints of ``sys`` as rows over subset
+    masks; None also when a key of ``cert`` names no constraint."""
+    rows = [(c.functional.terms, c.relation, c.rhs) for c in sys.constraints]
+    if not all(isinstance(i, int) and 0 <= i < len(rows) for i in cert):
+        return None
+    return _combination(rows, cert)
 
 
 def verify_certificate(sys: LinearSystem, result) -> bool:
     """Re-validate a result by exact arithmetic, independent of the
     solver, against every constraint of ``sys`` as given. A witness must
     be over ``sys.ground``; an Optimal needs a dual certificate and an
-    Optimal or Unbounded needs ``sys.objective``."""
+    Optimal or Unbounded needs ``sys.objective``. Every key of a
+    certificate must be the index of a constraint."""
     if isinstance(result, Infeasible):
-        combo = _combination(_mask_rows(sys), result.certificate)
+        combo = _certificate_combination(sys, result.certificate)
         return combo is not None and not combo[0] and combo[1] > 0
     if not isinstance(result, (Feasible, Optimal, Unbounded)):
         raise DomainError(f"unknown result type {type(result).__name__}")
@@ -577,7 +582,7 @@ def verify_certificate(sys: LinearSystem, result) -> bool:
     if isinstance(result, Optimal):
         if result.dual_certificate is None:
             return False
-        combo = _combination(_mask_rows(sys), result.dual_certificate)
+        combo = _certificate_combination(sys, result.dual_certificate)
         return combo == (dict(objective.terms), result.value)
     ray = EntropyVector(sys.ground, result.ray)
     return objective.evaluate(ray) < 0 and all(

@@ -75,12 +75,12 @@ def _partition_entropy(sums: Sequence[float], masks: Sequence[int]) -> float:
 
 @dataclass(frozen=True)
 class IndicatorFamily:
-    """All indicators of subsets of the non-top atoms of a distribution.
+    """All indicators of subsets of the atoms but atom 0 of a distribution.
 
-    ``masks[label]`` is a bitmask over atoms 0..n-1 (atom 0 the most
-    probable); the member is 1 exactly on the atoms in its mask."""
+    ``masks[label]`` is a bitmask over atoms 0..n-1; the member is 1
+    exactly on the atoms in its mask."""
 
-    probabilities: tuple[float, ...]  # descending, positive
+    probabilities: tuple[float, ...]  # atom 0 first, positive
     labels: tuple[str, ...]
     masks: Mapping[str, int]
 
@@ -109,9 +109,20 @@ def _check_sorted_positive(probs) -> tuple[float, ...]:
     return tuple(p)
 
 
+def _family_masks(n: int) -> list[int]:
+    """Every nonempty subset of atoms 1..n-1 as a bitmask over atoms
+    0..n-1, ordered by size, then lexicographically."""
+    return [
+        sum(1 << atom for atom in combo)
+        for r in range(1, n)
+        for combo in itertools.combinations(range(1, n), r)
+    ]
+
+
 def build_indicator_family(dist) -> IndicatorFamily:
     """``dist``: a probability sequence (descending) or a one-variable
-    JointDistribution whose outcomes are already sorted that way."""
+    JointDistribution whose outcomes are already sorted that way.
+    Members are labelled ``a{...}`` by their atoms, numbered from 1."""
     if isinstance(dist, JointDistribution):
         if len(dist.names) != 1:
             raise DomainError("indicator family needs a single variable")
@@ -119,18 +130,11 @@ def build_indicator_family(dist) -> IndicatorFamily:
     else:
         probs = list(dist)
     p = _check_sorted_positive(probs)
-    n = len(p)
-    labels = []
-    masks = {}
-    for r in range(1, n):
-        for combo in itertools.combinations(range(2, n + 1), r):
-            label = "a{" + ",".join(map(str, combo)) + "}"
-            mask = 0
-            for atom in combo:
-                mask |= 1 << (atom - 1)
-            labels.append(label)
-            masks[label] = mask
-    return IndicatorFamily(p, tuple(labels), masks)
+    masks = {
+        "a{" + ",".join(str(i + 1) for i in range(len(p)) if mask >> i & 1) + "}": mask
+        for mask in _family_masks(len(p))
+    }
+    return IndicatorFamily(p, tuple(masks), masks)
 
 
 @dataclass(frozen=True)
@@ -421,28 +425,12 @@ def build_multivar_indicators(dist: JointDistribution) -> MultivarIndicatorInput
         raise DomainError("joint distribution must be strictly positive")
     probs = [float(dist.pmf[o]) for o in outcomes]
     top = max(range(len(outcomes)), key=lambda i: (probs[i], outcomes[i]))
-    rest = [i for i in range(len(outcomes)) if i != top]
-    n = len(outcomes)
     # atom order: designated atom first, the rest in outcome order
-    atom_of = {top: 0}
-    for k, i in enumerate(rest):
-        atom_of[i] = k + 1
-    sums = _subset_sums([probs[top]] + [probs[i] for i in rest])
-
-    masks: dict[str, int] = {}
-    labels: list[str] = []
-    counter = 0
-    mask_label: dict[int, str] = {}
-    for r in range(1, n):
-        for combo in itertools.combinations(range(1, n), r):
-            mask = 0
-            for a in combo:
-                mask |= 1 << a
-            label = f"M{counter}"
-            counter += 1
-            labels.append(label)
-            masks[label] = mask
-            mask_label[mask] = label
+    order = [top] + [i for i in range(len(outcomes)) if i != top]
+    atom_of = {i: atom for atom, i in enumerate(order)}
+    masks = {f"M{j}": mask for j, mask in enumerate(_family_masks(len(order)))}
+    family = IndicatorFamily(tuple(probs[i] for i in order), tuple(masks), masks)
+    mask_label = {mask: label for label, mask in masks.items()}
     anchors = []
     for axis in range(m):
         per_value = []
@@ -453,11 +441,7 @@ def build_multivar_indicators(dist: JointDistribution) -> MultivarIndicatorInput
                     mask |= 1 << atom_of[i]
             per_value.append(mask_label[mask])
         anchors.append(tuple(per_value))
-
-    def entropy(members: Sequence[str]) -> float:
-        return _partition_entropy(sums, [masks[x] for x in members])
-
-    return MultivarIndicatorInput(n, tuple(labels), entropy, tuple(anchors))
+    return MultivarIndicatorInput(family.n, family.labels, family.entropy, tuple(anchors))
 
 
 def recover_multivar(

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -199,6 +200,27 @@ def test_gf_prime_and_prime_power_axioms():
             for b in range(q):
                 assert f.add(a, b) == f.add(b, a)
                 assert f.mul(a, b) == f.mul(b, a)
+
+
+def test_gf_tables_pinned():
+    """Every element keeps its meaning: the modulus and the add, mul, neg
+    and inv tables of all 70 fields q <= 256 hash to a recorded digest."""
+    h = hashlib.sha256()
+    orders = []
+    for q in range(2, 257):
+        try:
+            f = GF(q)
+        except DomainError:
+            continue
+        orders.append(q)
+        r = range(q)
+        h.update(q.to_bytes(2, "big") + bytes(f.poly if f.k > 1 else []))
+        h.update(bytes(f.add(a, b) for a in r for b in r))
+        h.update(bytes(f.mul(a, b) for a in r for b in r))
+        h.update(bytes(f.neg(a) for a in r))
+        h.update(bytes(f.inv(a) for a in r[1:]))
+    assert len(orders) == 70
+    assert h.hexdigest() == "d2d5e45f78102c8983ace910fd3172d9f8a8e006d314e8a3c4c1ac2057ebc350"
 
 
 def test_gf_rejects_non_prime_power():

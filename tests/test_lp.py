@@ -125,6 +125,25 @@ def test_witness_over_another_ground_rejected():
     assert not verify_certificate(s, Feasible(other))
 
 
+def test_farkas_keys_must_name_constraints():
+    s = LinearSystem(G1, [LinearConstraint(X, ">=", 1), LinearConstraint(X, "<=", 0)])
+    assert verify_certificate(s, Infeasible({0: 1, 1: -1}))
+    # the same multipliers under negative keys, read from the end
+    assert not verify_certificate(s, Infeasible({-2: 1, -1: -1}))
+
+
+def test_farkas_key_past_the_end_rejected():
+    s = LinearSystem(G1, [LinearConstraint(X, ">=", 1), LinearConstraint(X, "<=", 0)])
+    assert not verify_certificate(s, Infeasible({5: 1}))
+
+
+def test_dual_keys_must_name_constraints():
+    s = LinearSystem(G1, [LinearConstraint(X, ">=", 3)], objective=X)
+    r = minimize(s)
+    assert isinstance(r, Optimal) and verify_certificate(s, r)
+    assert not verify_certificate(s, Optimal(r.value, r.witness, {-1: 1}))
+
+
 def test_dump_system_format():
     s = LinearSystem(G1, [LinearConstraint(X, ">=", rational(1, 2))])
     out = s.render()
