@@ -63,6 +63,14 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+def _fields(data, kind: str, *names) -> list:
+    """The values of ``names`` in an input file's JSON object, in order."""
+    try:
+        return [data[name] for name in names]
+    except KeyError as exc:
+        raise DomainError(f"{kind} file missing field {exc}") from None
+
+
 def _witness_json(witness) -> dict:
     g = witness.ground
     return {
@@ -141,18 +149,15 @@ def _aux_arg(args, p):
 def _lp_report(args, sys_) -> dict:
     res = solve_feasibility(sys_)
     if isinstance(res, Feasible):
-        return _base_report(
-            args,
-            "Feasible (tuple may be achievable)",
-            witness=_witness_json(res.witness),
-            verified=verify_certificate(sys_, res),
-        )
-    return _base_report(
-        args,
-        "Infeasible (tuple is not achievable)",
-        certificate=_certificate_json(res.certificate, sys_),
-        verified=verify_certificate(sys_, res),
-    )
+        status = "Feasible (tuple may be achievable)"
+        payload = {"witness": _witness_json(res.witness)}
+    else:
+        status = "Infeasible (tuple is not achievable)"
+        payload = {"certificate": _certificate_json(res.certificate, sys_)}
+    payload["verified"] = verify_certificate(sys_, res)
+    if args.trace:
+        payload["trace"] = dataclasses.asdict(res.trace)
+    return _base_report(args, status, **payload)
 
 
 def _run_bound(args) -> dict:
@@ -170,7 +175,8 @@ def _run_aux(args) -> dict:
     extra = {}
     if args.aux_command == "linear":
         data = _read(args, args.model, _load_json)
-        spec, rows = linear_basis_aux(SubspaceModel(data["q"], data["m"], data["generators"]))
+        model = SubspaceModel(*_fields(data, "model", "q", "m", "generators"))
+        spec, rows = linear_basis_aux(model)
         extra["rows"] = len(rows)
     elif args.aux_command == "gk":
         spec, _ = pairwise_aux_for_network(_load_problem_arg(args), "gk")
@@ -212,8 +218,9 @@ def _run_recover(args) -> dict:
         data = _read(args, args.entropies, _load_json)
         if args.n is None:
             raise DomainError("--n is required with --entropies")
+        members, entropies = _fields(data, "entropies", "members", "entropies")
         inp = RecoveryInput.from_table(
-            args.n, tuple(data["members"]), {k: float(v) for k, v in data["entropies"].items()}
+            args.n, tuple(members), {k: float(v) for k, v in entropies.items()}
         )
     else:
         raise DomainError("one of --self-test, --distribution, --entropies is required")
@@ -250,6 +257,9 @@ def _run_dump_lp(args) -> dict:
     )
 
 
+TRACE_HELP = "report how the LP verdict was reached: path, misses, sizes, stage times"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entrolab",
@@ -266,6 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
         bp.add_argument("--capacities", help="e1=1,e2=1/2 or positional 1,1/2,...")
         if name == "improve":
             bp.add_argument("--aux", help="aux-spec JSON (default: pairwise gk)")
+        if name in ("check", "improve"):
+            bp.add_argument("--trace", action="store_true", help=TRACE_HELP)
         bp.set_defaults(run=_run_bound)
 
     aux = sub.add_parser("aux", help="construct auxiliary variables")
@@ -309,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex = sub.add_parser("example1", help="run the bundled instance")
     ex.add_argument("--capacities", default="1,1,1,1")
     ex.add_argument("--improved", nargs="?", const="gk", default=None)
+    ex.add_argument("--trace", action="store_true", help=TRACE_HELP)
     ex.set_defaults(run=_run_bound, bound_command="example1")
     return parser
 

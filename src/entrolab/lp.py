@@ -1,16 +1,43 @@
 """Exact rational linear feasibility/optimization over entropy coordinates.
 
 The decision path is exact: every returned witness or certificate is
-re-derivable by rational arithmetic. A floating-point warm start (one
-sparse scipy/HiGHS solve) merely *suggests* a point or a Farkas support;
-the suggestion is then solved by sparse exact elimination and verified,
-and on any mismatch we fall back to the exact simplex ``simplex_solve``,
-which pivots the same sparse rows. The rows reach HiGHS, the
-elimination, the simplex and ``verify_certificate`` in the order and
-form the caller built them: duplicate, conflicting and empty rows are
-not merged or dropped, so a row multiplier is a constraint multiplier.
-One helper, ``_combination``, applies the sign rule and sums multiplier
-combinations for every exact check.
+re-derivable by rational arithmetic and is checked on every row of the
+system as given before it is returned. Every verdict, of
+``solve_feasibility`` (warm or cold) and of ``minimize``, takes one
+path: reduce, solve, lift, check.
+
+- **Reduce.** Functional dependencies (FDs) are read off the system
+  itself: an ``==`` row h(T) - h(B) = 0 with B inside T, and a pair of
+  single-term fixings h(B) = c, h(B u {x}) = c with equal right-hand
+  sides. Each is split into single-element steps B -> x (minimal
+  premises only), each with its derivation: row multipliers whose sum is
+  h(B u {x}) - h(B) with right-hand side 0. With the elemental
+  inequalities they force h(S) = h(cl S), where cl closes S under the
+  steps, so the columns are the closed masks. Each row's terms are
+  mapped to closed columns; identical mapped rows share one
+  representative constraint index, so a reduced multiplier is still a
+  constraint multiplier. A row that maps to nothing is dropped when it
+  holds, and is the whole contradiction when it does not. With no FDs,
+  cl is the identity.
+- **Solve.** One sparse elastic HiGHS solve (``minimize``: one objective
+  solve) suggests a point or a Farkas support; sparse exact elimination
+  over that support, anchored at the rationalized floats, makes it exact
+  on the reduced rows. Cold, or when that reconstruction misses, the
+  exact simplex ``simplex_solve`` pivots the same reduced rows.
+- **Lift.** A point: h(S) := h(cl S). Farkas or dual multipliers: the
+  residual sum lam_i a_i - target over the full masks sums to zero on
+  every closure class, and is cancelled along each non-closed mask's
+  closure chain, one step B -> x at a time from K: by r h(x|K) as
+  elementals when the residual r is positive, else by -r I(x; K-B | B)
+  as elementals plus r times the step's derivation.
+- **Check.** The lifted point is checked on every row as given
+  (``_verify_point``) and the lifted multipliers by ``_combination``.
+  A lift that misses (an elemental row the cancellation needs is not in
+  the system) sends the verdict down the same path with no FDs, which is
+  the unreduced system: elastic HiGHS, then the simplex.
+
+Every result carries a ``SolveTrace`` of the path that won, the misses
+on the way and the sizes and times of the stages.
 
 Certificate convention (Farkas): a map constraint-index -> multiplier
 lam with lam_i >= 0 on ">=" rows, lam_i <= 0 on "<=" rows, free on "=="
@@ -20,8 +47,9 @@ sum lam_i * b_i > 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from time import perf_counter
 from typing import Mapping, Optional, Sequence
 
 from ._rational import ONE, ZERO, format_rational, rational
@@ -83,14 +111,49 @@ class LinearSystem:
         return "\n".join(c.render(self.ground) for c in self.constraints)
 
 
+@dataclass
+class SolveTrace:
+    """How a verdict was reached.
+
+    ``path`` is the stage that produced it: ``reduced-float`` (a HiGHS
+    answer made exact on the reduced rows), ``reduced-exact`` (the exact
+    simplex on them, or a row that alone is the contradiction),
+    ``full-float`` or ``full-simplex`` (the same on the unreduced rows,
+    after a lift miss). ``misses`` says why each earlier attempt was
+    left, in order: ``highs status N``, ``reconstruction miss`` or ``lift
+    miss``. ``full`` and ``reduced`` give the rows, cols and nnz of the
+    system as given and as last solved; ``support`` is the number of
+    nonzero multipliers of the certificate or dual (0 for a witness
+    alone); ``seconds`` is the wall time of each stage."""
+
+    path: str = ""
+    misses: list = field(default_factory=list)
+    full: dict = field(default_factory=dict)
+    reduced: dict = field(default_factory=dict)
+    support: int = 0
+    seconds: dict = field(default_factory=dict)
+
+    def lap(self, stage: str, start: float) -> float:
+        """Add the time since ``start`` to ``stage``; returns now."""
+        now = perf_counter()
+        self.seconds[stage] = self.seconds.get(stage, 0.0) + now - start
+        return now
+
+
+def _untraced():
+    return field(default=None, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class Feasible:
     witness: EntropyVector
+    trace: Optional[SolveTrace] = _untraced()
 
 
 @dataclass(frozen=True)
 class Infeasible:
     certificate: Mapping[int, object]  # constraint index -> multiplier
+    trace: Optional[SolveTrace] = _untraced()
 
 
 @dataclass(frozen=True)
@@ -98,41 +161,162 @@ class Optimal:
     value: object
     witness: EntropyVector
     dual_certificate: Optional[Mapping[int, object]] = None
+    trace: Optional[SolveTrace] = _untraced()
 
 
 @dataclass(frozen=True)
 class Unbounded:
     witness: EntropyVector
     ray: Mapping[int, object]  # mask -> direction component
+    trace: Optional[SolveTrace] = _untraced()
 
 
-# --- canonical matrix view ----------------------------------------------------
+# --- functional dependencies and the reduced view -----------------------------------
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _fd_steps(sys: LinearSystem) -> list:
+    """The single-element FD steps ``(B, x, rows, rest)`` the system
+    states, ``x`` a one-bit mask outside ``B``, sorted by ``(x, B)`` and
+    keeping only minimal premises ``B`` per ``x``. Derivation: ``sum
+    rows[i] * a_i`` is h(B u x) - h(B) + h(rest | B u x) with right-hand
+    side 0 (``rows`` are ``==`` rows), so h(x|B) <= 0 given the
+    elemental inequalities for h(rest | B u x)."""
+    found = []
+    fixings: dict = {}  # value -> mask -> (index, coefficient)
+    for i, c in enumerate(sys.constraints):
+        terms = c.functional.terms
+        if c.relation != EQ or not 0 < len(terms) <= 2:
+            continue
+        if len(terms) == 1:
+            (t, v), = terms
+            fixings.setdefault(c.rhs / v, {}).setdefault(t, (i, v))
+            b = 0
+        else:
+            (b, vb), (t, v) = terms  # ascending masks: a subset comes first
+            if vb != -v or b & ~t:
+                continue
+        if c.rhs == 0:
+            found += [(b, x, {i: ONE / v}, t & ~(b | x)) for x in _bits(t & ~b)]
+    for fixed in fixings.values():
+        for b, (i, v) in fixed.items():
+            for x in _bits(sys.ground.full_mask & ~b):
+                hi = fixed.get(b | x)
+                if hi is not None:
+                    found.append((b, x, {hi[0]: ONE / hi[1], i: -ONE / v}, 0))
+    steps = []
+    for step in sorted(found, key=lambda s: (s[1], bin(s[0]).count("1"), s[0])):
+        b, x = step[0], step[1]
+        if not any(k[1] == x and k[0] & ~b == 0 for k in steps):
+            steps.append(step)
+    return steps
+
+
+def _first_step(steps, mask: int):
+    """The first step ``(B, x, ...)`` with B inside ``mask`` and x
+    outside it, or None when ``mask`` is closed."""
+    for step in steps:
+        if not step[1] & mask and not step[0] & ~mask:
+            return step
+    return None
 
 
 class _Canon:
-    """Sparse column-indexed view of a system, its rows in constraint order.
+    """Sparse column-indexed view of a system with every h(S) replaced by
+    h(cl S), cl the closure under the FD ``steps`` (none: the identity).
 
-    ``cols`` are the masks the rows and the objective use, ascending;
-    ``rows[i]`` is ``(terms, rel, rhs)`` for constraint ``i`` as given,
-    with ``terms`` its ``(column, coefficient)`` pairs. Nothing is
-    merged or dropped, so row multipliers are constraint multipliers."""
+    ``close`` maps each mask the rows and the objective use to its closed
+    mask, or to 0 when the FDs force h(S) = 0 (cl S = cl {}); ``cols`` are
+    the closed masks the mapped rows and objective use, ascending.
+    ``rows[k]`` is ``(terms, rel, rhs)`` of one distinct mapped row, with
+    ``terms`` its ``(column, coefficient)`` pairs, and ``index[k]`` the
+    first constraint that maps to it, so row multipliers are constraint
+    multipliers. A row that maps to nothing is dropped when it holds;
+    ``contradiction`` is the first that does not, or None. ``full`` and
+    ``reduced`` are the rows, cols and nnz before and after."""
 
-    def __init__(self, sys: LinearSystem, objective: LinearFunctional | None):
-        masks = {m for c in sys.constraints for m, _ in c.functional.terms}
-        if objective is not None:
-            masks.update(m for m, _ in objective.terms)
-        self.cols = sorted(masks)  # deterministic: lexicographic by bitmask
-        col_index = {m: i for i, m in enumerate(self.cols)}
+    def __init__(self, sys: LinearSystem, objective: LinearFunctional | None, steps=()):
+        close: dict = {}
+        memo: dict = {}
 
-        def terms(functional):
-            return tuple((col_index[m], v) for m, v in functional.terms)
+        def closed(mask):
+            out = memo.get(mask)
+            if out is None:
+                step = _first_step(steps, mask)
+                out = memo[mask] = mask if step is None else closed(mask | step[1])
+            return out
+
+        empty = closed(0)
+
+        def mapped(terms):
+            # integral coefficients (and right-hand sides) are summed and
+            # hashed as ints, several times cheaper than as Fractions
+            acc: dict = {}
+            for m, v in terms:
+                c = close.get(m)
+                if c is None:
+                    c = closed(m)
+                    c = close[m] = 0 if c == empty else c
+                if c:
+                    if v.denominator == 1:
+                        v = v.numerator
+                    w = acc.get(c)
+                    acc[c] = v if w is None else w + v
+            return tuple(sorted(t for t in acc.items() if t[1]))
+
+        distinct: dict = {}
+        self.index = []
+        self.contradiction = None
+        nnz = 0
+        for i, c in enumerate(sys.constraints):
+            nnz += len(c.functional.terms)
+            terms = mapped(c.functional.terms)
+            if not terms:
+                if self.contradiction is None and not _holds(ZERO, c.relation, c.rhs):
+                    self.contradiction = i
+                continue
+            rhs = c.rhs.numerator if c.rhs.denominator == 1 else c.rhs
+            key = (terms, c.relation, rhs)
+            if key not in distinct:
+                distinct[key] = len(self.index)
+                self.index.append(i)
+        obj = mapped(objective.terms) if objective is not None else ()
+        masks = {m for terms, _, _ in distinct for m, _ in terms}
+        self.cols = sorted(masks.union(m for m, _ in obj))
+        col_index = {m: j for j, m in enumerate(self.cols)}
+
+        def terms_of(terms):
+            return tuple((col_index[m], Fraction(v)) for m, v in terms)
 
         self.ground = sys.ground
-        self.rows = [(terms(c.functional), c.relation, c.rhs) for c in sys.constraints]
-        self.objective = terms(objective) if objective is not None else ()
+        self.close = close
+        self.rows = [(terms_of(terms), rel, Fraction(rhs)) for terms, rel, rhs in distinct]
+        self.objective = terms_of(obj)
+        self.full = {"rows": len(sys.constraints), "cols": len(close), "nnz": nnz}
+        self.reduced = {
+            "rows": len(self.rows),
+            "cols": len(self.cols),
+            "nnz": sum(len(terms) for terms, _, _ in self.rows),
+        }
+
+    def lift(self, x: Sequence) -> dict:
+        """A reduced column vector as values on every full mask:
+        h(S) := x(cl S), 0 where cl S = cl {} (or cl S is in no row)."""
+        value = dict(zip(self.cols, x))
+        return {m: value.get(c, ZERO) for m, c in self.close.items()}
 
     def witness_from(self, x: Sequence) -> EntropyVector:
-        return EntropyVector(self.ground, dict(zip(self.cols, x)), exact=True)
+        return EntropyVector(self.ground, self.lift(x), exact=True)
+
+    def multipliers(self, lam: Mapping[int, object]) -> dict:
+        """Reduced-row multipliers keyed by their constraint index."""
+        return {self.index[k]: v for k, v in lam.items() if v != 0}
 
 
 # --- exact linear algebra --------------------------------------------------------
@@ -352,8 +536,8 @@ def _combination(rows, lam: Mapping[int, object]):
     return {j: v for j, v in combo.items() if v != 0}, total
 
 
-def _verify_point(canon: _Canon, x) -> bool:
-    return all(_holds(_row_dot(terms, x), rel, rhs) for terms, rel, rhs in canon.rows)
+def _verify_point(rows, x) -> bool:
+    return all(_holds(_row_dot(terms, x), rel, rhs) for terms, rel, rhs in rows)
 
 
 def _exact_multipliers(canon: _Canon, lam_float, target, value):
@@ -466,7 +650,7 @@ def _exact_point_from_float(canon: _Canon, x_float):
     """Exactify a float point: solve the active rows exactly, anchored at
     the rationalized float solution, then verify everything."""
     anchor = _rationalize(x_float)
-    if _verify_point(canon, anchor):
+    if _verify_point(canon.rows, anchor):
         return anchor
     active_rows, active_rhs = [], []
     for terms, rel, rhs in canon.rows:
@@ -477,19 +661,111 @@ def _exact_point_from_float(canon: _Canon, x_float):
         active_rows.append(dict(terms))
         active_rhs.append(rhs)
     x = _anchored_solve(active_rows, active_rhs, anchor)
-    if x is not None and _verify_point(canon, x):
+    if x is not None and _verify_point(canon.rows, x):
         return x
     return None
+
+
+# --- lifting reduced answers ------------------------------------------------------
+
+
+def _part(*terms) -> tuple:
+    """A functional as sorted ``(mask, coefficient)`` pairs, h({}) = 0 dropped."""
+    return tuple(sorted((m, c) for m, c in terms if m))
+
+
+def _mutual_parts(x: int, rest: int, given: int) -> list:
+    """I(x; rest | given) as elementals, by the chain rule over ``rest``."""
+    out = []
+    for s in _bits(rest):
+        out.append(_part((x | given, 1), (s | given, 1), (x | s | given, -1), (given, -1)))
+        given |= s
+    return out
+
+
+def _conditional_parts(x: int, given: int, full: int) -> list:
+    """h(x | given) = h(N) - h(N - x) + I(x; N - given - x | given) as
+    elementals (Yeung's chain-rule expansion)."""
+    return [_part((full, 1), (full ^ x, -1))] + _mutual_parts(x, full & ~(given | x), given)
+
+
+def _lift_multipliers(sys: LinearSystem, canon: _Canon, steps, lam: dict, target=()):
+    """Multipliers on the rows as given from constraint multipliers
+    ``lam`` of the reduced rows, whose residual ``sum lam_i a_i - target``
+    over the full masks sums to zero on every closure class: each
+    nonzero residual r_S at a non-closed S is moved one closure step up,
+    to S u x, smallest masks first, so residuals that meet on the way
+    are merged before they are moved on. None when an elemental row
+    this needs is not in the system."""
+    out = dict(lam)
+    resid: dict = {}
+    for i, v in lam.items():
+        for m, a in sys.constraints[i].functional.terms:
+            resid[m] = resid.get(m, ZERO) + v * a
+    for m, a in target:
+        resid[m] = resid.get(m, ZERO) - a
+    # the class of cl {} maps to h = 0 and need not sum to zero: give
+    # h({}) the balancing residual and move it up the chain of {}
+    resid[0] = -sum((v for m, v in resid.items() if m and not canon.close[m]), ZERO)
+    full = sys.ground.full_mask
+    # ">= 0" rows by first mask, last mask and length, which tell the
+    # two elemental forms apart; a candidate must match term for term
+    rows_of: dict = {}
+    if any(resid.values()):
+        for i, c in enumerate(sys.constraints):
+            terms = c.functional.terms
+            if c.relation == GE and terms and not c.rhs:
+                rows_of.setdefault((terms[0][0], terms[-1][0], len(terms)), []).append(i)
+
+    def add(i, mult):
+        out[i] = out.get(i, ZERO) + mult
+
+    def add_elementals(parts, mult):
+        for part in parts:
+            key = (part[0][0], part[-1][0], len(part))
+            found = [i for i in rows_of.get(key, ()) if sys.constraints[i].functional.terms == part]
+            if not found:
+                return False
+            add(found[0], mult)
+        return True
+
+    for size in range(full.bit_count() + 1):
+        for k in sorted(m for m, r in resid.items() if r and m.bit_count() == size):
+            step = _first_step(steps, k)
+            if step is None:
+                continue
+            b, x, rows, rest = step
+            r = resid.pop(k)
+            resid[k | x] = resid.get(k | x, ZERO) + r
+            if r > 0:
+                # r h(x|K): monotonicity, no FD needed
+                if not add_elementals(_conditional_parts(x, k, full), r):
+                    return None
+                continue
+            # r h(x|K) = r h(x|B) - r I(x; K-B | B), and r h(x|B) is r
+            # times the derivation, whose elemental part is -h(rest | B x)
+            parts = _mutual_parts(x, k & ~b, b)
+            given = b | x
+            for t in _bits(rest):
+                parts += _conditional_parts(t, given, full)
+                given |= t
+            if not add_elementals(parts, -r):
+                return None
+            for i, d in rows.items():
+                add(i, r * d)
+    return {i: v for i, v in out.items() if v != 0}
 
 
 # --- public operations ----------------------------------------------------------
 
 
-def _elastic_verdict(canon: _Canon):
+def _elastic_verdict(canon: _Canon, trace: SolveTrace):
     """One elastic HiGHS solve made exact: Feasible, Infeasible, or None
-    when the float answer cannot be reconstructed."""
+    (its miss recorded in ``trace``) when the float answer cannot be
+    reconstructed."""
     res, x_float, lam_float = _highs(canon, elastic=True)
     if x_float is None:
+        trace.misses.append(f"highs status {res.status}")
         return None
     if res.fun <= _ACTIVE_TOL:
         x = _exact_point_from_float(canon, x_float)
@@ -502,31 +778,120 @@ def _elastic_verdict(canon: _Canon):
         if total > 0:
             lam = _exact_multipliers(canon, [v / total for v in lam_float], (), ONE)
             if lam is not None:
-                return Infeasible(lam)
+                return Infeasible(canon.multipliers(lam))
+    trace.misses.append("reconstruction miss")
+    return None
+
+
+def _optimum(canon: _Canon, trace: SolveTrace):
+    """One HiGHS objective solve made exact: Optimal with its dual,
+    Infeasible from the elastic solve, or None (miss recorded)."""
+    res, x_float, lam_float = _highs(canon, objective=canon.objective)
+    if res.status == 2:
+        verdict = _elastic_verdict(canon, trace)
+        if isinstance(verdict, Infeasible):
+            return verdict
+    if x_float is None:
+        trace.misses.append(f"highs status {res.status}")
+        return None
+    x = _exact_point_from_float(canon, x_float)
+    if x is not None:
+        value = _row_dot(canon.objective, x)
+        # exact dual certificate: sum lam_i a_i = objective, sum lam_i b_i = value
+        lam = _exact_multipliers(canon, lam_float, canon.objective, value)
+        if lam is not None:
+            return Optimal(value, canon.witness_from(x), canon.multipliers(lam))
+    trace.misses.append("reconstruction miss")
     return None
 
 
 def _exact_fallback(canon: _Canon, optimize: bool = False):
     """The exact simplex over the canonical rows, made a verdict."""
     result = simplex_solve(len(canon.cols), canon.rows, canon.objective)
-    lam = {i: v for i, v in enumerate(result.duals or ()) if v != 0}
+    lam = canon.multipliers(dict(enumerate(result.duals or ())))
     if result.status == "infeasible":
         return Infeasible(lam)
     if result.status == "unbounded":
-        ray = {m: v for m, v in zip(canon.cols, result.ray) if v != 0}
+        ray = {m: v for m, v in canon.lift(result.ray).items() if v != 0}
         return Unbounded(canon.witness_from(result.x), ray)
     if not optimize:
         return Feasible(canon.witness_from(result.x))
     return Optimal(result.value, canon.witness_from(result.x), lam)
 
 
+def _settle(sys: LinearSystem, objective, warm: bool, steps=(), trace=None,
+            paths=("full-float", "full-simplex")):
+    """Reduce ``sys`` by the FD ``steps``, solve (HiGHS made exact when
+    ``warm``, else or on a miss the exact simplex), lift and check on
+    the rows as given. None on a lift miss. With no steps this is the
+    unreduced path."""
+    trace = trace if trace is not None else SolveTrace()
+    start = perf_counter()
+    canon = _Canon(sys, objective, steps)
+    trace.full, trace.reduced = canon.full, canon.reduced
+    start = trace.lap("reduce", start)
+    verdict, path = None, paths[1]
+    if canon.contradiction is not None:
+        # 0 rel b fails, so b > 0 on a ">=" row and b < 0 on a "<=" row
+        rhs = sys.constraints[canon.contradiction].rhs
+        verdict = Infeasible({canon.contradiction: ONE if rhs > 0 else -ONE})
+    elif not canon.rows and objective is None:
+        verdict = Feasible(canon.witness_from([ZERO] * len(canon.cols)))
+    elif warm:
+        verdict = _elastic_verdict(canon, trace) if objective is None else _optimum(canon, trace)
+        path = paths[0]
+        start = trace.lap("float", start)
+    if verdict is None:
+        verdict, path = _exact_fallback(canon, optimize=objective is not None), paths[1]
+        start = trace.lap("simplex", start)
+    trace.path = path
+    lifted = _checked_lift(sys, canon, steps, verdict, objective)
+    trace.lap("lift", start)
+    return lifted
+
+
+def _checked_lift(sys: LinearSystem, canon: _Canon, steps, verdict, objective):
+    """``verdict`` lifted to the rows as given and checked on every one
+    of them; None on a miss."""
+    if not isinstance(verdict, Infeasible):
+        rows = [(c.functional.terms, c.relation, c.rhs) for c in sys.constraints]
+        if not _verify_point(rows, verdict.witness.values):
+            return None
+    if isinstance(verdict, Infeasible):
+        lam = _lift_multipliers(sys, canon, steps, verdict.certificate)
+        combo = lam and _certificate_combination(sys, lam)
+        return Infeasible(lam) if combo and not combo[0] and combo[1] > 0 else None
+    if isinstance(verdict, Optimal):
+        lam = _lift_multipliers(sys, canon, steps, verdict.dual_certificate, objective.terms)
+        if lam is None or _certificate_combination(sys, lam) != (
+            dict(objective.terms), verdict.value
+        ):
+            return None
+        return Optimal(verdict.value, verdict.witness, lam)
+    if isinstance(verdict, Unbounded) and not verify_certificate(sys, verdict):
+        return None
+    return verdict
+
+
+def _solve(sys: LinearSystem, objective, warm: bool):
+    trace = SolveTrace()
+    start = perf_counter()
+    steps = _fd_steps(sys)
+    trace.lap("fds", start)
+    verdict = _settle(sys, objective, warm, steps, trace, ("reduced-float", "reduced-exact"))
+    if verdict is None:
+        trace.misses.append("lift miss")
+        verdict = _settle(sys, objective, warm, (), trace)
+        if verdict is None:
+            raise RuntimeError("an unreduced verdict failed its check on the rows as given")
+    lam = getattr(verdict, "certificate", None) or getattr(verdict, "dual_certificate", None)
+    trace.support = len(lam or ())
+    return replace(verdict, trace=trace)
+
+
 def solve_feasibility(sys: LinearSystem, warm_start: bool = True):
     """Exact feasibility: Feasible(witness) or Infeasible(certificate)."""
-    canon = _Canon(sys, None)
-    if not canon.rows:
-        return Feasible(canon.witness_from([ZERO] * len(canon.cols)))
-    verdict = _elastic_verdict(canon) if warm_start else None
-    return verdict or _exact_fallback(canon)
+    return _solve(sys, None, warm_start)
 
 
 def minimize(sys: LinearSystem):
@@ -534,21 +899,7 @@ def minimize(sys: LinearSystem):
     dual certificate, Unbounded, or Infeasible."""
     if sys.objective is None:
         raise DomainError("minimize requires an objective")
-    canon = _Canon(sys, sys.objective)
-    res, x_float, lam_float = _highs(canon, objective=canon.objective)
-    if res.status == 2:
-        verdict = _elastic_verdict(canon)
-        if isinstance(verdict, Infeasible):
-            return verdict
-    if x_float is not None:
-        x = _exact_point_from_float(canon, x_float)
-        if x is not None:
-            value = _row_dot(canon.objective, x)
-            # exact dual certificate: sum lam_i a_i = objective, sum lam_i b_i = value
-            lam = _exact_multipliers(canon, lam_float, canon.objective, value)
-            if lam is not None:
-                return Optimal(value, canon.witness_from(x), lam)
-    return _exact_fallback(canon, optimize=True)
+    return _solve(sys, sys.objective, True)
 
 
 def _certificate_combination(sys: LinearSystem, cert: Mapping[int, object]):

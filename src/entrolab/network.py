@@ -450,8 +450,9 @@ def _fd_closure(p: NetworkProblem, given_sources: set, given_edges: set) -> set:
     """Everything determined by the given sources and edge messages.
 
     An edge message is determined once all inputs at its tail are; a
-    demanded source is determined once some demanding node sees all its
-    in-edges and local sources."""
+    demanded source is determined once some demanding node other than
+    its own sees all its in-edges and local sources (a sink holding the
+    source decodes it from nothing the network carries)."""
     known = {("s", s) for s in given_sources} | {("e", e) for e in given_edges}
     in_edges: dict = {v: [] for v in p.nodes}
     local: dict = {v: [] for v in p.nodes}
@@ -476,7 +477,7 @@ def _fd_closure(p: NetworkProblem, given_sources: set, given_edges: set) -> set:
             if ("s", s.id) in known:
                 continue
             for u in s.demanded_at:
-                if all(("e", eid) in known for eid in in_edges[u]) and all(
+                if u != s.at and all(("e", eid) in known for eid in in_edges[u]) and all(
                     ("s", sid) in known for sid in local[u] if sid != s.id
                 ):
                     known.add(("s", s.id))

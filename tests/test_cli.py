@@ -185,3 +185,34 @@ def test_report_deterministic_modulo_timing(capsys):
     r1.pop("timing")
     r2.pop("timing")
     assert r1 == r2
+
+
+def test_aux_linear_model_missing_field(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"m": 2, "generators": {}}))
+    code, _, err = run(capsys, "aux", "linear", "--model", str(path))
+    assert code == 1
+    assert "missing field 'q'" in err
+
+
+def test_recover_entropies_missing_field(capsys, tmp_path):
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"entropies": {}}))
+    code, _, err = run(capsys, "recover", "--entropies", str(path), "--n", "3")
+    assert code == 1
+    assert "missing field 'members'" in err
+
+
+def test_trace_block_only_when_asked(capsys):
+    plain = run_json(capsys, "example1", "--improved")
+    traced = run_json(capsys, "example1", "--improved", "--trace")
+    assert "trace" not in plain
+    trace = traced.pop("trace")
+    for report in (plain, traced):
+        report.pop("timing")
+        report["command"] = None
+    assert traced == plain
+    assert trace["path"] == "reduced-float" and trace["misses"] == []
+    assert trace["full"] == {"rows": 11604, "cols": 1023, "nnz": 46136}
+    assert trace["reduced"]["cols"] < trace["full"]["cols"]
+    assert trace["support"] == len(plain["certificate"])

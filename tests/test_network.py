@@ -215,6 +215,20 @@ def test_fd_unresolvable_demand_warns_vacuous():
     assert res.warnings
 
 
+def test_fd_source_at_its_own_sink():
+    # the sink holds the source, so an edge of capacity 0 into it bounds
+    # nothing; the LP has no decoding row there and is Feasible
+    dist = uniform_bits(["b"]).extend("Y", lambda o: o[0]).restrict(["Y"])
+    p = NetworkProblem(
+        (1, 2),
+        (Edge("e1", 1, 2, rational(0)),),
+        (Source("Y", 2, (2,)),),
+        SourceModel(distribution=dist),
+    )
+    assert isinstance(fd_bound(p), PassesFD)
+    assert isinstance(check_lp_bound(p), MaybeAchievable)
+
+
 def test_problem_json_round_trip(tmp_path):
     p = example1_problem()
     path = tmp_path / "problem.json"

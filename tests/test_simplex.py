@@ -3,9 +3,9 @@
 Random LPs over at most four columns, with equality rows, negative
 right-hand sides, duplicated rows, empty rows, conflicting equality
 copies and infeasible systems, are solved both ways; every verdict must
-pass ``verify_certificate``. The last test is a delta*-relaxed network
-LP whose float point misses its exact reconstruction, so it is settled
-by the simplex.
+pass ``verify_certificate``. Then a delta*-relaxed network LP whose
+float point misses its exact reconstruction, so it is settled by the
+simplex, and the bundled n=7 base LP solved cold.
 """
 
 import time
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from entrolab import lp
 from entrolab.core import GroundSet, LinearFunctional, elemental_inequalities
+from entrolab.network import build_lp_constraints, example1_problem
 from entrolab.lp import (
     Feasible,
     LinearConstraint,
@@ -78,7 +79,8 @@ def test_cold_verdict_matches_warm(sys_):
 @given(systems(objective=True))
 @settings(max_examples=100, deadline=None)
 def test_fallback_optimum_matches_minimize(sys_):
-    exact = lp._exact_fallback(lp._Canon(sys_, sys_.objective), optimize=True)
+    # the unreduced exact path: no FD steps, the simplex alone
+    exact = lp._settle(sys_, sys_.objective, warm=False)
     res = minimize(sys_)
     assert type(exact) is type(res)
     if isinstance(res, Optimal):
@@ -90,9 +92,10 @@ def test_fallback_optimum_matches_minimize(sys_):
 
 def test_delta_star_reconstruction_miss_is_settled():
     """A delta*-relaxed LP on (Y1, Y2, K12, U1, U2) whose delta* bound d
-    is within 2e-18 of (h(Y1,Y2) - 2) / 2 but not equal to it: the float
-    active set is exactly inconsistent, so the warm point misses and the
-    simplex must settle the verdict."""
+    is within 2e-18 of (h(Y1,Y2) - 2) / 2 but not equal to it: on the
+    unreduced rows the float active set is exactly inconsistent, so the
+    warm point misses and the simplex must settle the verdict. The
+    FD-reduced rows (73 x 19) settle it warm."""
     g = GroundSet(("Y1", "Y2", "K12", "U1", "U2"))
     m = g.mask
     h_y = Fraction(22772464917029034989, 2**63)  # rounded h(Y1,Y2)
@@ -124,3 +127,19 @@ def test_delta_star_reconstruction_miss_is_settled():
     assert time.perf_counter() - start < 10
     assert isinstance(res, Feasible)
     assert verify_certificate(sys_, res)
+    trace = lp.SolveTrace()
+    start = time.perf_counter()
+    full = lp._settle(sys_, None, True, (), trace)
+    assert time.perf_counter() - start < 10
+    assert trace.misses == ["reconstruction miss"] and trace.path == "full-simplex"
+    assert isinstance(full, Feasible)
+    assert verify_certificate(sys_, full)
+
+
+def test_cold_bundled_base_lp():
+    """The bundled n=7 base LP (697 rows) settled by the simplex alone,
+    on its FD-reduced rows (233 x 39)."""
+    sys_ = build_lp_constraints(example1_problem())
+    res = solve_feasibility(sys_, warm_start=False)
+    assert isinstance(res, Feasible) and verify_certificate(sys_, res)
+    assert res.trace.path == "reduced-exact" and res.trace.reduced["rows"] < 697

@@ -2,7 +2,8 @@
 
 ``entrolab.lp.simplex_solve`` (the exact fallback) is replaced by
 a function that raises, so each verdict below must come from a
-HiGHS solve made exact, and must pass ``verify_certificate``.
+HiGHS solve made exact, and must pass ``verify_certificate``. Each
+must also come from the FD-reduced rows, lifted without a miss.
 """
 
 import itertools
@@ -51,6 +52,7 @@ def no_fallback(monkeypatch):
 def warm_verdict(sys_):
     res = solve_feasibility(sys_)
     assert verify_certificate(sys_, res)
+    assert res.trace.path == "reduced-float" and not res.trace.misses, res.trace
     return res
 
 
@@ -114,6 +116,7 @@ def test_minimize_optimal_and_infeasible():
         sys_ = LinearSystem(base.ground, base.constraints, objective=total)
         res = minimize(sys_)
         assert isinstance(res, expected) and verify_certificate(sys_, res)
+        assert res.trace.path == "reduced-float" and not res.trace.misses, res.trace
         if expected is Optimal:
             assert res.dual_certificate
 
