@@ -26,10 +26,11 @@ path: reduce, solve, lift, check.
   exact simplex ``simplex_solve`` pivots the same reduced rows.
 - **Lift.** A point: h(S) := h(cl S). Farkas or dual multipliers: the
   residual sum lam_i a_i - target over the full masks sums to zero on
-  every closure class, and is cancelled along each non-closed mask's
-  closure chain, one step B -> x at a time from K: by r h(x|K) as
-  elementals when the residual r is positive, else by -r I(x; K-B | B)
-  as elementals plus r times the step's derivation.
+  every closure class. It is moved from each non-closed mask K one
+  closure step B -> x up, to K u {x}, smallest masks first so that
+  residuals that meet are merged: by r h(x|K) as elementals when the
+  residual r is positive, else by -r I(x; K-B | B) as elementals plus
+  r times the step's derivation.
 - **Check.** The lifted point is checked on every row as given
   (``_verify_point``) and the lifted multipliers by ``_combination``.
   A lift that misses (an elemental row the cancellation needs is not in
@@ -183,8 +184,8 @@ def _bits(mask: int):
 
 def _fd_steps(sys: LinearSystem) -> list:
     """The single-element FD steps ``(B, x, rows, rest)`` the system
-    states, ``x`` a one-bit mask outside ``B``, sorted by ``(x, B)`` and
-    keeping only minimal premises ``B`` per ``x``. Derivation: ``sum
+    states, ``x`` a one-bit mask outside ``B``, sorted by ``x`` and then
+    by the size of ``B``, keeping only minimal premises ``B`` per ``x``. Derivation: ``sum
     rows[i] * a_i`` is h(B u x) - h(B) + h(rest | B u x) with right-hand
     side 0 (``rows`` are ``==`` rows), so h(x|B) <= 0 given the
     elemental inequalities for h(rest | B u x)."""
@@ -211,7 +212,7 @@ def _fd_steps(sys: LinearSystem) -> list:
                 if hi is not None:
                     found.append((b, x, {hi[0]: ONE / hi[1], i: -ONE / v}, 0))
     steps = []
-    for step in sorted(found, key=lambda s: (s[1], bin(s[0]).count("1"), s[0])):
+    for step in sorted(found, key=lambda s: (s[1], s[0].bit_count(), s[0])):
         b, x = step[0], step[1]
         if not any(k[1] == x and k[0] & ~b == 0 for k in steps):
             steps.append(step)
