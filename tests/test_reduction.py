@@ -149,6 +149,27 @@ def test_warm_equals_cold(p, improve):
     assert cold.trace.path == "reduced-exact"
 
 
+@given(networks(), st.booleans(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_reduced_minimum_matches_unreduced(p, improve, data):
+    # minimize one edge's h(U) without its capacity row: the lifted dual
+    # must certify the same optimum as the unreduced path
+    aux = pairwise_aux_for_network(p, "gk")[0] if improve else None
+    full = build_lp_constraints(p, aux=aux)
+    edges = [n for n in full.ground.names if n.startswith("U")]
+    if not edges:
+        return
+    u = LinearFunctional(((full.ground.mask([data.draw(st.sampled_from(edges))]), 1),))
+    rows = [c for c in full.constraints if not (c.relation == "<=" and c.functional == u)]
+    sys_ = LinearSystem(full.ground, rows, objective=u)
+    res = checked(sys_, minimize(sys_))
+    assert "lift miss" not in res.trace.misses
+    unreduced = checked(sys_, lp._settle(sys_, sys_.objective, warm=True))
+    assert type(res) is type(unreduced)
+    if isinstance(res, Optimal):
+        assert res.value == unreduced.value
+
+
 def _min_capacity(aux, edge):
     """``minimize`` h(U_e) over the bundled LP without e's capacity row."""
     full = build_lp_constraints(example1_problem(), aux=aux)
