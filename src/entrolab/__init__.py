@@ -24,7 +24,6 @@ from .lp import (
     LinearConstraint,
     LinearSystem,
     Optimal,
-    Unbounded,
     minimize,
     solve_feasibility,
     verify_certificate,

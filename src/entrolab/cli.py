@@ -17,7 +17,7 @@ import time
 
 from . import __version__
 from ._rational import format_rational, rational
-from .core import DomainError, load_distribution
+from .core import DomainError, load_distribution, load_json
 from .lp import (
     Feasible,
     LinearSystem,
@@ -56,11 +56,6 @@ def _read(args, path: str, load):
     with open(path, "rb") as fh:
         args.digests[path] = hashlib.sha256(fh.read()).hexdigest()
     return data
-
-
-def _load_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def _fields(data, kind: str, *names) -> list:
@@ -174,7 +169,7 @@ def _run_bound(args) -> dict:
 def _run_aux(args) -> dict:
     extra = {}
     if args.aux_command == "linear":
-        data = _read(args, args.model, _load_json)
+        data = _read(args, args.model, load_json)
         model = SubspaceModel(*_fields(data, "model", "q", "m", "generators"))
         spec, rows = linear_basis_aux(model)
         extra["rows"] = len(rows)
@@ -215,7 +210,7 @@ def _run_recover(args) -> dict:
         family = build_indicator_family(_read(args, args.distribution, load_distribution))
         inp = RecoveryInput.from_family(family, shuffle_seed=args.shuffle_seed)
     elif args.entropies:
-        data = _read(args, args.entropies, _load_json)
+        data = _read(args, args.entropies, load_json)
         if args.n is None:
             raise DomainError("--n is required with --entropies")
         members, entropies = _fields(data, "entropies", "members", "entropies")
@@ -338,7 +333,7 @@ def main(argv=None) -> int:
     args.digests = {}
     try:
         report = args.run(args)
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -352,9 +352,18 @@ def distribution_from_json(data: dict) -> JointDistribution:
     return JointDistribution(names, alphabets, pmf)
 
 
-def load_distribution(path: str) -> JointDistribution:
+def load_json(path: str):
+    """The JSON value in the file at ``path``; DomainError naming the
+    file and line when it is not valid JSON."""
     with open(path) as fh:
-        return distribution_from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+
+
+def load_distribution(path: str) -> JointDistribution:
+    return distribution_from_json(load_json(path))
 
 
 def uniform_bits(names: Sequence[str]) -> JointDistribution:

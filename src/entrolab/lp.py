@@ -31,11 +31,15 @@ path: reduce, solve, lift, check.
   residuals that meet are merged: by r h(x|K) as elementals when the
   residual r is positive, else by -r I(x; K-B | B) as elementals plus
   r times the step's derivation.
-- **Check.** The lifted point is checked on every row as given
-  (``_verify_point``) and the lifted multipliers by ``_combination``.
-  A lift that misses (an elemental row the cancellation needs is not in
-  the system) sends the verdict down the same path with no FDs, which is
-  the unreduced system: elastic HiGHS, then the simplex.
+- **Check.** The lifted verdict is returned only if
+  ``verify_certificate`` accepts it on every row as given, the same
+  check a caller makes. A lift that misses (an elemental row the
+  cancellation needs is not in the system) or fails that check sends
+  the verdict down the same path with no FDs, which is the unreduced
+  system: elastic HiGHS, then the simplex.
+
+``minimize`` raises ``DomainError`` on an objective unbounded below, as
+it does on a missing one: network LPs minimise an h(U) >= 0.
 
 Every result carries a ``SolveTrace`` of the path that won, the misses
 on the way and the sizes and times of the stages.
@@ -82,9 +86,6 @@ class LinearConstraint:
         object.__setattr__(self, "relation", rel)
         object.__setattr__(self, "rhs", rational(rhs))
 
-    def holds_at(self, h: EntropyVector) -> bool:
-        return _holds(self.functional.evaluate(h), self.relation, self.rhs)
-
     def render(self, ground: GroundSet) -> str:
         rel = {GE: ">=", LE: "<=", EQ: "="}[self.relation]
         return f"{self.functional.render(ground)} {rel} {format_rational(self.rhs)}"
@@ -122,7 +123,8 @@ class SolveTrace:
     ``full-float`` or ``full-simplex`` (the same on the unreduced rows,
     after a lift miss). ``misses`` says why each earlier attempt was
     left, in order: ``highs status N``, ``reconstruction miss`` or ``lift
-    miss``. ``full`` and ``reduced`` give the rows, cols and nnz of the
+    miss`` (a lift that missed or that ``verify_certificate`` rejected).
+    ``full`` and ``reduced`` give the rows, cols and nnz of the
     system as given and as last solved; ``support`` is the number of
     nonzero multipliers of the certificate or dual (0 for a witness
     alone); ``seconds`` is the wall time of each stage."""
@@ -162,13 +164,6 @@ class Optimal:
     value: object
     witness: EntropyVector
     dual_certificate: Optional[Mapping[int, object]] = None
-    trace: Optional[SolveTrace] = _untraced()
-
-
-@dataclass(frozen=True)
-class Unbounded:
-    witness: EntropyVector
-    ray: Mapping[int, object]  # mask -> direction component
     trace: Optional[SolveTrace] = _untraced()
 
 
@@ -306,14 +301,12 @@ class _Canon:
             "nnz": sum(len(terms) for terms, _, _ in self.rows),
         }
 
-    def lift(self, x: Sequence) -> dict:
-        """A reduced column vector as values on every full mask:
-        h(S) := x(cl S), 0 where cl S = cl {} (or cl S is in no row)."""
-        value = dict(zip(self.cols, x))
-        return {m: value.get(c, ZERO) for m, c in self.close.items()}
-
     def witness_from(self, x: Sequence) -> EntropyVector:
-        return EntropyVector(self.ground, self.lift(x), exact=True)
+        """A reduced column vector lifted to every full mask: h(S) :=
+        x(cl S), 0 where cl S = cl {} (or cl S is in no row)."""
+        value = dict(zip(self.cols, x))
+        lifted = {m: value.get(c, ZERO) for m, c in self.close.items()}
+        return EntropyVector(self.ground, lifted, exact=True)
 
     def multipliers(self, lam: Mapping[int, object]) -> dict:
         """Reduced-row multipliers keyed by their constraint index."""
@@ -376,11 +369,10 @@ def _anchored_solve(rows, rhs, anchor):
 
 @dataclass
 class SimplexResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible"
     x: list | None = None  # point in the original free-variable space
     value: object | None = None
     duals: list | None = None  # public-convention multipliers per input row
-    ray: list | None = None  # unbounded direction in the original space
 
 
 def simplex_solve(ncols: int, rows, objective=()) -> SimplexResult:
@@ -390,7 +382,8 @@ def simplex_solve(ncols: int, rows, objective=()) -> SimplexResult:
     rows: ``(terms, rel, rhs)`` as in ``_Canon.rows``; objective: terms.
     For "infeasible" the duals are a Farkas certificate, for "optimal"
     they certify optimality (sum lam_i a_i = objective, sum lam_i b_i =
-    value), both in the public sign convention.
+    value), both in the public sign convention. Raises ``DomainError``
+    when the objective is unbounded below.
 
     Standard form M z = d, z >= 0 over columns u (0..n-1) and w
     (n..2n-1) with x = u - w, one slack per inequality row, then one
@@ -444,7 +437,7 @@ def simplex_solve(ncols: int, rows, objective=()) -> SimplexResult:
         while True:
             col = min((j for j, v in obj.items() if j < nstruct and v < 0), default=None)
             if col is None:
-                return None  # optimal
+                return  # optimal
             best_r, best_ratio = None, None
             for i, row in enumerate(tableau):
                 t = row.get(col)
@@ -456,8 +449,8 @@ def simplex_solve(ncols: int, rows, objective=()) -> SimplexResult:
                         or (ratio == best_ratio and basis[i] < basis[best_r])
                     ):
                         best_r, best_ratio = i, ratio
-            if best_r is None:
-                return col  # unbounded in this column
+            if best_r is None:  # only phase 2 can be unbounded
+                raise DomainError("the objective is unbounded below")
             pivot(obj, best_r, col)
 
     # Phase 1: minimize the sum of the artificials (all basic initially);
@@ -487,19 +480,9 @@ def simplex_solve(ncols: int, rows, objective=()) -> SimplexResult:
         cb = cost.get(basis[i])
         if cb is not None:
             subtract(obj, cb, row)
-    unbounded_col = run(obj)
+    run(obj)
     z = {basis[i]: row.get(rhs, ZERO) for i, row in enumerate(tableau)}
     x = [z.get(j, ZERO) - z.get(ncols + j, ZERO) for j in range(ncols)]
-
-    if unbounded_col is not None:
-        ray_z = {unbounded_col: ONE}
-        for i, row in enumerate(tableau):
-            t = row.get(unbounded_col)
-            if t is not None:
-                ray_z[basis[i]] = -t
-        ray = [ray_z.get(j, ZERO) - ray_z.get(ncols + j, ZERO) for j in range(ncols)]
-        return SimplexResult(status="unbounded", x=x, ray=ray)
-
     duals = [-obj.get(nstruct + i, ZERO) * s for i, s in enumerate(signs)]
     value = sum((c * x[j] for j, c in objective), ZERO)
     return SimplexResult(status="optimal", x=x, value=value, duals=duals)
@@ -546,8 +529,6 @@ def _exact_multipliers(canon: _Canon, lam_float, target, value):
     ``sum lam_i b_i = value`` over their support, anchored at the
     rationalized floats, and check the result; None on a miss."""
     support = [i for i, v in enumerate(lam_float) if abs(v) > _SUPPORT_TOL]
-    if not support:
-        return None
     eqs: dict[int, dict] = {j: {} for j, _ in target}
     for k, i in enumerate(support):
         for j, v in canon.rows[i][0]:
@@ -563,7 +544,7 @@ def _exact_multipliers(canon: _Canon, lam_float, target, value):
     if lam_exact is None:
         return None
     lam = {i: v for i, v in zip(support, lam_exact) if v != 0}
-    if lam and _combination(canon.rows, lam) == (dict(target), value):
+    if _combination(canon.rows, lam) == (dict(target), value):
         return lam
     return None
 
@@ -812,9 +793,6 @@ def _exact_fallback(canon: _Canon, optimize: bool = False):
     lam = canon.multipliers(dict(enumerate(result.duals or ())))
     if result.status == "infeasible":
         return Infeasible(lam)
-    if result.status == "unbounded":
-        ray = {m: v for m, v in canon.lift(result.ray).items() if v != 0}
-        return Unbounded(canon.witness_from(result.x), ray)
     if not optimize:
         return Feasible(canon.witness_from(result.x))
     return Optimal(result.value, canon.witness_from(result.x), lam)
@@ -823,9 +801,10 @@ def _exact_fallback(canon: _Canon, optimize: bool = False):
 def _settle(sys: LinearSystem, objective, warm: bool, steps=(), trace=None,
             paths=("full-float", "full-simplex")):
     """Reduce ``sys`` by the FD ``steps``, solve (HiGHS made exact when
-    ``warm``, else or on a miss the exact simplex), lift and check on
-    the rows as given. None on a lift miss. With no steps this is the
-    unreduced path."""
+    ``warm``, else or on a miss the exact simplex), lift, and return the
+    lifted verdict if ``verify_certificate`` accepts it on the rows as
+    given; None on a lift miss or a rejected verdict. With no steps this
+    is the unreduced path."""
     trace = trace if trace is not None else SolveTrace()
     start = perf_counter()
     canon = _Canon(sys, objective, steps)
@@ -846,31 +825,15 @@ def _settle(sys: LinearSystem, objective, warm: bool, steps=(), trace=None,
         verdict, path = _exact_fallback(canon, optimize=objective is not None), paths[1]
         start = trace.lap("simplex", start)
     trace.path = path
-    lifted = _checked_lift(sys, canon, steps, verdict, objective)
-    trace.lap("lift", start)
-    return lifted
-
-
-def _checked_lift(sys: LinearSystem, canon: _Canon, steps, verdict, objective):
-    """``verdict`` lifted to the rows as given and checked on every one
-    of them; None on a miss."""
-    if not isinstance(verdict, Infeasible):
-        rows = [(c.functional.terms, c.relation, c.rhs) for c in sys.constraints]
-        if not _verify_point(rows, verdict.witness.values):
-            return None
     if isinstance(verdict, Infeasible):
         lam = _lift_multipliers(sys, canon, steps, verdict.certificate)
-        combo = lam and _certificate_combination(sys, lam)
-        return Infeasible(lam) if combo and not combo[0] and combo[1] > 0 else None
-    if isinstance(verdict, Optimal):
+        verdict = None if lam is None else Infeasible(lam)
+    elif isinstance(verdict, Optimal):
         lam = _lift_multipliers(sys, canon, steps, verdict.dual_certificate, objective.terms)
-        if lam is None or _certificate_combination(sys, lam) != (
-            dict(objective.terms), verdict.value
-        ):
-            return None
-        return Optimal(verdict.value, verdict.witness, lam)
-    if isinstance(verdict, Unbounded) and not verify_certificate(sys, verdict):
-        return None
+        verdict = None if lam is None else Optimal(verdict.value, verdict.witness, lam)
+    if verdict is not None and not verify_certificate(sys, verdict):
+        verdict = None
+    trace.lap("lift", start)
     return verdict
 
 
@@ -897,46 +860,37 @@ def solve_feasibility(sys: LinearSystem, warm_start: bool = True):
 
 def minimize(sys: LinearSystem):
     """Exact optimization of ``sys.objective``: Optimal with a verified
-    dual certificate, Unbounded, or Infeasible."""
+    dual certificate, or Infeasible. Raises ``DomainError`` when there is
+    no objective or it is unbounded below."""
     if sys.objective is None:
         raise DomainError("minimize requires an objective")
     return _solve(sys, sys.objective, True)
 
 
-def _certificate_combination(sys: LinearSystem, cert: Mapping[int, object]):
-    """``_combination`` of the constraints of ``sys`` as rows over subset
-    masks; None also when a key of ``cert`` names no constraint."""
-    rows = [(c.functional.terms, c.relation, c.rhs) for c in sys.constraints]
-    if not all(isinstance(i, int) and 0 <= i < len(rows) for i in cert):
-        return None
-    return _combination(rows, cert)
-
-
 def verify_certificate(sys: LinearSystem, result) -> bool:
     """Re-validate a result by exact arithmetic, independent of the
-    solver, against every constraint of ``sys`` as given. A witness must
-    be over ``sys.ground``; an Optimal needs a dual certificate and an
-    Optimal or Unbounded needs ``sys.objective``. Every key of a
-    certificate must be the index of a constraint."""
-    if isinstance(result, Infeasible):
-        combo = _certificate_combination(sys, result.certificate)
-        return combo is not None and not combo[0] and combo[1] > 0
-    if not isinstance(result, (Feasible, Optimal, Unbounded)):
+    solver, against every constraint of ``sys`` as given: the check
+    every verdict passes before ``solve_feasibility`` or ``minimize``
+    returns it. A witness must be over ``sys.ground``; an Optimal needs
+    ``sys.objective`` and a dual certificate. Every key of a certificate
+    must be the index of a constraint."""
+    if not isinstance(result, (Feasible, Infeasible, Optimal)):
         raise DomainError(f"unknown result type {type(result).__name__}")
-    witness = result.witness
-    if witness.ground != sys.ground or not all(c.holds_at(witness) for c in sys.constraints):
-        return False
-    if isinstance(result, Feasible):
-        return True
-    objective = sys.objective
-    if objective is None:
-        return False
-    if isinstance(result, Optimal):
-        if result.dual_certificate is None:
+    rows = [(c.functional.terms, c.relation, c.rhs) for c in sys.constraints]
+    if not isinstance(result, Infeasible):
+        # row masks are range-checked when the system is built
+        h = result.witness.values
+        if result.witness.ground != sys.ground or not all(
+            _holds(sum((v * h.get(m, ZERO) for m, v in terms), ZERO), rel, rhs)
+            for terms, rel, rhs in rows
+        ):
             return False
-        combo = _certificate_combination(sys, result.dual_certificate)
-        return combo == (dict(objective.terms), result.value)
-    ray = EntropyVector(sys.ground, result.ray)
-    return objective.evaluate(ray) < 0 and all(
-        _holds(c.functional.evaluate(ray), c.relation, ZERO) for c in sys.constraints
-    )
+        if isinstance(result, Feasible):
+            return True
+    lam = result.certificate if isinstance(result, Infeasible) else result.dual_certificate
+    if lam is None or not all(isinstance(i, int) and 0 <= i < len(rows) for i in lam):
+        return False
+    combo = _combination(rows, lam)
+    if isinstance(result, Infeasible):
+        return combo is not None and not combo[0] and combo[1] > 0
+    return sys.objective is not None and combo == (dict(sys.objective.terms), result.value)

@@ -40,12 +40,14 @@ from .core import (
     elemental_inequalities,
     entropy_of,
     entropy_vector_of,
+    load_json,
 )
 from .lp import (
     Feasible,
     LinearConstraint,
     LinearSystem,
     solve_feasibility,
+    verify_certificate,
 )
 
 
@@ -579,7 +581,7 @@ def witness_satisfies(sys: LinearSystem, witness: EntropyVector) -> bool:
         names = sys.ground.subset_names(mask)
         remap[mask] = witness.value(witness.ground.mask(names))
     h = EntropyVector(sys.ground, remap, exact=witness.exact)
-    return all(c.holds_at(h) for c in sys.constraints)
+    return verify_certificate(sys, Feasible(h))
 
 
 # --- bundled instance --------------------------------------------------------------
@@ -690,12 +692,7 @@ def problem_from_json(data: dict) -> NetworkProblem:
 
 
 def load_problem(path: str) -> NetworkProblem:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    return problem_from_json(data)
+    return problem_from_json(load_json(path))
 
 
 def save_problem(p: NetworkProblem, path: str) -> None:
@@ -750,12 +747,7 @@ def aux_spec_from_json(data: dict) -> AuxSpec:
 
 
 def load_aux_spec(path: str) -> AuxSpec:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    return aux_spec_from_json(data)
+    return aux_spec_from_json(load_json(path))
 
 
 def save_aux_spec(aux: AuxSpec, path: str) -> None:

@@ -216,3 +216,17 @@ def test_trace_block_only_when_asked(capsys):
     assert trace["full"] == {"rows": 11604, "cols": 1023, "nnz": 46136}
     assert trace["reduced"]["cols"] < trace["full"]["cols"]
     assert trace["support"] == len(plain["certificate"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("recover", "--distribution"),
+    ("verify-properties", "--distribution"),
+    ("aux", "linear", "--model"),
+    ("recover", "--n", "3", "--entropies"),
+])
+def test_truncated_json_names_file_and_line(capsys, tmp_path, argv):
+    path = tmp_path / "cut.json"
+    path.write_text('{"variables": [\n')
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == 1
+    assert f"{path}: invalid JSON at line 2" in err

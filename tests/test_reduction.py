@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from entrolab import lp
 from entrolab._rational import INF, rational
 from entrolab.auxiliary import pairwise_aux_for_network
-from entrolab.core import JointDistribution, LinearFunctional
+from entrolab.core import JointDistribution, LinearFunctional, uniform_bits
 from entrolab.lp import (
     Feasible,
     Infeasible,
@@ -170,9 +170,10 @@ def test_reduced_minimum_matches_unreduced(p, improve, data):
         assert res.value == unreduced.value
 
 
-def _min_capacity(aux, edge):
-    """``minimize`` h(U_e) over the bundled LP without e's capacity row."""
-    full = build_lp_constraints(example1_problem(), aux=aux)
+def _min_capacity(aux, edge, p=None):
+    """``minimize`` h(U_e) over the LP of ``p`` (the bundled instance by
+    default) without e's capacity row."""
+    full = build_lp_constraints(p or example1_problem(), aux=aux)
     u = full.ground.mask([edge_var_name(edge)])
     cap = LinearFunctional(((u, 1),))
     rows = [c for c in full.constraints if not (c.relation == "<=" and c.functional == cap)]
@@ -193,3 +194,44 @@ def test_certified_minimum_capacities():
             assert res.dual_certificate and verify_certificate(sys_, res)
             if aux is not None:
                 assert seconds <= 2, (edge, seconds)
+
+
+def test_minimum_forced_to_zero_has_an_empty_reduced_dual():
+    # h(U1) of an edge out of a node that holds nothing: the FDs map the
+    # objective to the class of cl {}, so the exact reduced dual is empty
+    # and the lift builds the whole dual from elemental rows
+    p = NetworkProblem((1, 2), (Edge("e1", 1, 2, Fraction(0)),), (Source("Y1", 2, (2,)),),
+                       SourceModel(distribution=uniform_bits(["Y1"])))
+    sys_ = _min_capacity(None, "e1", p)
+    res = minimize(sys_)
+    assert isinstance(res, Optimal) and res.value == 0
+    assert res.dual_certificate and verify_certificate(sys_, res)
+    assert res.trace.path == "reduced-float" and res.trace.misses == []
+
+
+def _reject_reduced_lifts(monkeypatch):
+    """Make every lift of a reduced answer flip its multipliers' signs,
+    which ``verify_certificate`` rejects."""
+    lift = lp._lift_multipliers
+
+    def flipped(sys_, canon, steps, lam, target=()):
+        out = lift(sys_, canon, steps, lam, target)
+        return {i: -v for i, v in out.items()} if steps and out else out
+
+    monkeypatch.setattr(lp, "_lift_multipliers", flipped)
+
+
+def test_rejected_lift_reruns_farkas_unreduced(monkeypatch):
+    _reject_reduced_lifts(monkeypatch)
+    sys_ = build_lp_constraints(example1_problem(), aux=example1_aux())
+    res = solve_feasibility(sys_)
+    assert isinstance(res, Infeasible) and verify_certificate(sys_, res)
+    assert res.trace.path == "full-float" and "lift miss" in res.trace.misses
+
+
+def test_rejected_lift_reruns_minimum_unreduced(monkeypatch):
+    _reject_reduced_lifts(monkeypatch)
+    sys_ = _min_capacity(None, "e1")
+    res = minimize(sys_)
+    assert isinstance(res, Optimal) and res.value == 1 and verify_certificate(sys_, res)
+    assert res.trace.path == "full-float" and "lift miss" in res.trace.misses

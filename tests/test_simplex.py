@@ -11,11 +11,12 @@ simplex, and the bundled n=7 base LP solved cold.
 import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from entrolab import lp
-from entrolab.core import GroundSet, LinearFunctional, elemental_inequalities
+from entrolab.core import DomainError, GroundSet, LinearFunctional, elemental_inequalities
 from entrolab.network import build_lp_constraints, example1_problem
 from entrolab.lp import (
     Feasible,
@@ -79,8 +80,14 @@ def test_cold_verdict_matches_warm(sys_):
 @given(systems(objective=True))
 @settings(max_examples=100, deadline=None)
 def test_fallback_optimum_matches_minimize(sys_):
-    # the unreduced exact path: no FD steps, the simplex alone
-    exact = lp._settle(sys_, sys_.objective, warm=False)
+    # the unreduced exact path: no FD steps, the simplex alone; an
+    # objective unbounded below raises DomainError on both paths
+    try:
+        exact = lp._settle(sys_, sys_.objective, warm=False)
+    except DomainError:
+        with pytest.raises(DomainError):
+            minimize(sys_)
+        return
     res = minimize(sys_)
     assert type(exact) is type(res)
     if isinstance(res, Optimal):
