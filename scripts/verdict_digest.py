@@ -1,0 +1,94 @@
+"""Print one sha256 per bound workload over every LP verdict a benchmark run returns.
+
+Run from anywhere:
+
+    python3 scripts/verdict_digest.py --seeds 1 2 3 [--checkout DIR]
+
+For each bound workload (``bound-large``, ``bound-small``, ``bound-cold``)
+and seed this performs what ``entrobench/run.py --seconds 20`` performs in
+a checkout (by default the one holding this script): the warm-up and every
+batch, with the checkout's own ``entrobench`` code and package source.
+Each ``solve_feasibility`` call, warm or cold, is observed from outside
+through the benchmark's tracer, and its verdict is put in a canonical
+form: the type name, the witness values sorted by mask and the
+certificate items sorted by constraint index, each value written as "a"
+or "a/b". A workload's digest covers its seeds in the order given, so two
+checkouts that print the same digests returned the same exact verdicts.
+Run the script once per checkout; each run imports one checkout only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+WORKLOADS = ("bound-large", "bound-small", "bound-cold")
+RUN_SECONDS = 20.0  # the benchmark's run length, which fixes the number of batches
+
+
+def canonical(verdict) -> str:
+    """Type, sorted witness values and sorted certificate items."""
+    parts: list = [type(verdict).__name__]
+    witness = getattr(verdict, "witness", None)
+    if witness is not None:
+        parts.append(sorted((m, str(v)) for m, v in witness.values.items()))
+    certificate = getattr(verdict, "certificate", None)
+    if certificate is not None:
+        parts.append(sorted((i, str(v)) for i, v in certificate.items()))
+    return repr(parts)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    ap.add_argument("--checkout", type=Path, default=HERE,
+                    help="checkout whose entrobench/ and src/ are run")
+    args = ap.parse_args(argv)
+
+    bench = args.checkout.resolve() / "entrobench"
+    sys.path.insert(0, str(bench))
+    import run  # the checkout's entrobench/run.py: its package loader and batch seeds
+
+    wl = run.load_package()
+    from entrolab.lp import solve_feasibility
+
+    class Recorder(wl.Tracer):
+        """The benchmark's tracer, off, keeping each verdict's canonical form."""
+
+        def __init__(self):
+            super().__init__(enabled=False)
+            self.verdicts: list[str] = []
+
+        def call(self, name, fn, *a, **kw):
+            out = super().call(name, fn, *a, **kw)
+            if fn is solve_feasibility:
+                self.verdicts.append(canonical(out))
+            return out
+
+    for workload in WORKLOADS:
+        make, run_batch = wl.WORKLOADS[workload]
+        digest = hashlib.sha256()
+        count = failed = 0
+        for seed in args.seeds:
+            tr = Recorder()
+            ledger = wl.Ledger(tr)
+            batch = make(run.batch_rng(workload, seed, 0))
+            warmup = wl.make_warmup(run.batch_rng(workload, seed, "warmup"))
+            wl.run_warmup(tr, ledger, warmup)
+            for index in range(max(1, round(RUN_SECONDS / wl.BATCH_SECONDS[workload]))):
+                if index:
+                    batch = make(run.batch_rng(workload, seed, index))
+                run_batch(tr, ledger, batch)
+            for line in tr.verdicts:
+                digest.update(line.encode() + b"\n")
+            count += len(tr.verdicts)
+            failed += ledger.failed
+        print(f"{workload} {digest.hexdigest()} verdicts={count} failed_ops={failed}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

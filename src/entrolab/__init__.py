@@ -2,8 +2,10 @@
 
 __version__ = "0.1.0"
 
-from ._rational import INF, rational
+from fractions import Fraction as rational  # the exact rational type, by its old name
+
 from .core import (
+    INF,
     DomainError,
     EntropyVector,
     GroundSet,

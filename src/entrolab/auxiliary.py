@@ -19,10 +19,10 @@ import math
 import random
 import warnings as _warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from ._rational import ZERO, rational
-from .core import DomainError, JointDistribution, _entropy_of_probs
+from .core import ZERO, DomainError, JointDistribution, _entropy_of_probs
 from .network import AuxFunction, AuxSpec, NetworkProblem
 
 
@@ -242,19 +242,18 @@ def pairwise_aux_for_network(p: NetworkProblem, mode: str = "gk", **delta_params
             functions.append(AuxFunction(kid, (a,), dict(gk.x_label)))
         elif mode == "delta":
             res = delta_star_search(pair, **delta_params)
-            d = rational(res.delta_achieved)
+            d = Fraction(res.delta_achieved)
             names.append(kid)
-            one = rational(1)
             rows.extend(
                 [
-                    (((one, (kid, a)), (-one, (a,))), "<=", d),
-                    (((one, (kid, b)), (-one, (b,))), "<=", d),
+                    (((1, (kid, a)), (-1, (a,))), "<=", d),
+                    (((1, (kid, b)), (-1, (b,))), "<=", d),
                     (
                         (
-                            (one, (a, kid)),
-                            (one, (b, kid)),
-                            (-one, (a, b, kid)),
-                            (-one, (kid,)),
+                            (1, (a, kid)),
+                            (1, (b, kid)),
+                            (-1, (a, b, kid)),
+                            (-1, (kid,)),
                         ),
                         "<=",
                         d,
@@ -430,7 +429,7 @@ class SubspaceModel:
         field = GF(self.q)
         knames = [f"K{j + 1}" for j in range(self.m)]
         pmf = {}
-        p = rational(1, self.q**self.m)
+        p = Fraction(1, self.q**self.m)
         for kvec in itertools.product(range(self.q), repeat=self.m):
             outcome = [str(v) for v in kvec]
             for name in self.generators:
@@ -451,7 +450,7 @@ class SubspaceModel:
 
 
 def _uniform_entropy(count: int):
-    h, _ = _entropy_of_probs([rational(1, count)] * count)
+    h, _ = _entropy_of_probs([Fraction(1, count)] * count)
     return h
 
 
@@ -461,21 +460,20 @@ def linear_basis_aux(model: SubspaceModel):
     also embedded in the AuxSpec as constraint templates."""
     m, q = model.m, model.q
     knames = [f"K{j + 1}" for j in range(m)]
-    one = rational(1)
     rows: list = []
     for r in range(1, m + 1):
         for combo in itertools.combinations(knames, r):
-            rows.append((((one, combo),), "==", _uniform_entropy(q**r)))
+            rows.append((((1, combo),), "==", _uniform_entropy(q**r)))
     for name, cols in model.generators.items():
         support = [knames[j] for j in range(m) if any(col[j] for col in cols)]
         if support:
             # the source is a function of its supporting basis variables
             rows.append(
-                (((one, tuple([name] + support)), (-one, tuple(support))), "==", ZERO)
+                (((1, tuple([name] + support)), (-1, tuple(support))), "==", ZERO)
             )
             # and its entropy is its dimension (independent columns) in
             # units of log2 q
-            rows.append((((one, (name,)),), "==", _uniform_entropy(q ** len(cols))))
+            rows.append((((1, (name,)),), "==", _uniform_entropy(q ** len(cols))))
         else:
-            rows.append((((one, (name,)),), "==", ZERO))
+            rows.append((((1, (name,)),), "==", ZERO))
     return AuxSpec(constraints=tuple(rows), names=tuple(knames)), rows

@@ -16,8 +16,7 @@ import sys
 import time
 
 from . import __version__
-from ._rational import format_rational, rational
-from .core import DomainError, load_distribution, load_json
+from .core import DomainError, format_rational, load_distribution, load_json
 from .lp import (
     Feasible,
     LinearSystem,
@@ -79,7 +78,7 @@ def _certificate_json(cert, system: LinearSystem) -> list:
         {
             "constraint": system.constraints[i].render(system.ground),
             "index": i,
-            "multiplier": format_rational(rational(mult)),
+            "multiplier": format_rational(mult),
         }
         for i, mult in sorted(cert.items())
     ]

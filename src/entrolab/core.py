@@ -18,13 +18,33 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 import mpmath
 
-from ._rational import ZERO, format_rational, is_dyadic_unit, rational
-
 PRECISION_BITS = 64
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+#: Positive infinity marker for capacities. Kept distinct from rationals.
+INF = float("inf")
+
+
+def format_rational(value) -> str:
+    """Render a rational as "a" or "a/b" (used by file formats)."""
+    if value == INF:
+        return "inf"
+    q = Fraction(value)
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{q.numerator}/{q.denominator}"
+
+
+def is_dyadic_unit(p) -> bool:
+    """True iff p = 2**-k for some k >= 0 (entropy term is exact)."""
+    n, d = p.numerator, p.denominator
+    return n == 1 and d & (d - 1) == 0
 
 
 class DomainError(ValueError):
@@ -76,7 +96,12 @@ class GroundSet:
 
 @dataclass(frozen=True)
 class LinearFunctional:
-    """Rational linear combination of entropy coordinates h(subset)."""
+    """Rational linear combination of entropy coordinates h(subset).
+
+    ``terms`` are ``(mask, coefficient)`` pairs by ascending mask, with
+    no zero coefficient. This is the one place the coefficient format is
+    decided: an integral coefficient is stored as an ``int``, any other
+    as an exact ``Fraction`` (floats and strings are converted exactly)."""
 
     terms: tuple[tuple[int, object], ...]
 
@@ -85,20 +110,16 @@ class LinearFunctional:
         for mask, coeff in terms:
             if mask <= 0:
                 raise DomainError("functional terms must index nonempty subsets")
-            c = merged.get(mask, ZERO) + rational(coeff)
-            if c == 0:
-                merged.pop(mask, None)
-            else:
-                merged[mask] = c
-        object.__setattr__(
-            self, "terms", tuple(sorted(merged.items(), key=lambda t: t[0]))
-        )
+            merged[mask] = merged.get(mask, 0) + (coeff if type(coeff) is int else Fraction(coeff))
+        object.__setattr__(self, "terms", tuple(sorted(
+            (m, c.numerator if c.denominator == 1 else c) for m, c in merged.items() if c
+        )))
 
     def evaluate(self, h: "EntropyVector"):
         return sum((c * h.value(mask) for mask, c in self.terms), ZERO)
 
     def scaled(self, factor) -> "LinearFunctional":
-        f = rational(factor)
+        f = Fraction(factor)
         return LinearFunctional([(m, c * f) for m, c in self.terms])
 
     def render(self, ground: GroundSet) -> str:
@@ -164,7 +185,7 @@ class JointDistribution:
             for sym, alpha in zip(outcome, alphabets):
                 if sym not in alpha:
                     raise DomainError(f"symbol {sym!r} not in alphabet {alpha}")
-            q = rational(p)
+            q = Fraction(p)
             if q < 0:
                 raise DomainError(f"negative probability for {outcome}")
             if q > 0:
@@ -207,7 +228,7 @@ class JointDistribution:
 
 
 def _entropy_of_probs(probs: Iterable) -> tuple[object, bool]:
-    positive = [rational(p) for p in probs if p > 0]
+    positive = [Fraction(p) for p in probs if p > 0]
     if all(is_dyadic_unit(p) for p in positive):
         # p = 2**-k contributes exactly k * 2**-k bits.
         return sum((p * p.denominator.bit_length() - p for p in positive), ZERO), True
@@ -217,7 +238,7 @@ def _entropy_of_probs(probs: Iterable) -> tuple[object, bool]:
             x = mpmath.mpf(int(p.numerator)) / int(p.denominator)
             acc -= x * mpmath.log(x, 2)
         scale = 1 << PRECISION_BITS
-        return rational(int(mpmath.nint(acc * scale)), scale), False
+        return Fraction(int(mpmath.nint(acc * scale)), scale), False
 
 
 def entropy_of(dist: JointDistribution, subset):
@@ -285,7 +306,7 @@ def is_polymatroid(h: EntropyVector, tolerance=None) -> tuple[bool, list[LinearF
     zeros, unless an explicit tolerance is given.
     """
     if tolerance is None:
-        tolerance = ZERO if h.exact else rational(1, 1 << (PRECISION_BITS - 16))
+        tolerance = ZERO if h.exact else Fraction(1, 1 << (PRECISION_BITS - 16))
     violated = [f for f in elemental_inequalities(h.ground.n) if f.evaluate(h) < -tolerance]
     return not violated, violated
 
@@ -346,7 +367,7 @@ def distribution_from_json(data: dict) -> JointDistribution:
     try:
         names = [v["name"] for v in data["variables"]]
         alphabets = [v["alphabet"] for v in data["variables"]]
-        pmf = {tuple(row["outcome"]): rational(str(row["p"])) for row in data["pmf"]}
+        pmf = {tuple(row["outcome"]): Fraction(str(row["p"])) for row in data["pmf"]}
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed distribution file: {exc}") from exc
     return JointDistribution(names, alphabets, pmf)
@@ -370,5 +391,5 @@ def uniform_bits(names: Sequence[str]) -> JointDistribution:
     """I.i.d. uniform binary variables with the given names."""
     names = tuple(names)
     outcomes = itertools.product("01", repeat=len(names))
-    p = rational(1, 1 << len(names))
+    p = Fraction(1, 1 << len(names))
     return JointDistribution(names, [("0", "1")] * len(names), {o: p for o in outcomes})

@@ -57,8 +57,15 @@ from fractions import Fraction
 from time import perf_counter
 from typing import Mapping, Optional, Sequence
 
-from ._rational import ONE, ZERO, format_rational, rational
-from .core import DomainError, EntropyVector, GroundSet, LinearFunctional
+from .core import (
+    ONE,
+    ZERO,
+    DomainError,
+    EntropyVector,
+    GroundSet,
+    LinearFunctional,
+    format_rational,
+)
 
 LE, GE, EQ = "<=", ">=", "=="
 RELATIONS = {">=": GE, "<=": LE, "=": EQ, "==": EQ, "≥": GE, "≤": LE}
@@ -75,7 +82,7 @@ _HIGHS_TOL = 1e-9
 class LinearConstraint:
     functional: LinearFunctional
     relation: str  # ">=", "<=", "=="
-    rhs: object
+    rhs: Fraction  # even when integral: c.rhs / v must not divide two ints
 
     def __init__(self, functional, relation, rhs):
         try:
@@ -84,7 +91,7 @@ class LinearConstraint:
             raise DomainError(f"unknown relation {relation!r}") from None
         object.__setattr__(self, "functional", functional)
         object.__setattr__(self, "relation", rel)
-        object.__setattr__(self, "rhs", rational(rhs))
+        object.__setattr__(self, "rhs", Fraction(rhs))
 
     def render(self, ground: GroundSet) -> str:
         rel = {GE: ">=", LE: "<=", EQ: "="}[self.relation]
@@ -251,8 +258,6 @@ class _Canon:
         empty = closed(0)
 
         def mapped(terms):
-            # integral coefficients (and right-hand sides) are summed and
-            # hashed as ints, several times cheaper than as Fractions
             acc: dict = {}
             for m, v in terms:
                 c = close.get(m)
@@ -260,8 +265,6 @@ class _Canon:
                     c = closed(m)
                     c = close[m] = 0 if c == empty else c
                 if c:
-                    if v.denominator == 1:
-                        v = v.numerator
                     w = acc.get(c)
                     acc[c] = v if w is None else w + v
             return tuple(sorted(t for t in acc.items() if t[1]))
@@ -277,8 +280,7 @@ class _Canon:
                 if self.contradiction is None and not _holds(ZERO, c.relation, c.rhs):
                     self.contradiction = i
                 continue
-            rhs = c.rhs.numerator if c.rhs.denominator == 1 else c.rhs
-            key = (terms, c.relation, rhs)
+            key = (terms, c.relation, c.rhs)
             if key not in distinct:
                 distinct[key] = len(self.index)
                 self.index.append(i)
@@ -288,11 +290,11 @@ class _Canon:
         col_index = {m: j for j, m in enumerate(self.cols)}
 
         def terms_of(terms):
-            return tuple((col_index[m], Fraction(v)) for m, v in terms)
+            return tuple((col_index[m], v) for m, v in terms)
 
         self.ground = sys.ground
         self.close = close
-        self.rows = [(terms_of(terms), rel, Fraction(rhs)) for terms, rel, rhs in distinct]
+        self.rows = [(terms_of(terms), rel, rhs) for terms, rel, rhs in distinct]
         self.objective = terms_of(obj)
         self.full = {"rows": len(sys.constraints), "cols": len(close), "nnz": nnz}
         self.reduced = {
@@ -489,7 +491,7 @@ def simplex_solve(ncols: int, rows, objective=()) -> SimplexResult:
 
 
 def _rationalize(values, max_den=_ANCHOR_DEN):
-    return [rational(Fraction(float(v)).limit_denominator(max_den)) for v in values]
+    return [Fraction(float(v)).limit_denominator(max_den) for v in values]
 
 
 def _row_dot(terms, x):
@@ -690,25 +692,22 @@ def _lift_multipliers(sys: LinearSystem, canon: _Canon, steps, lam: dict, target
     # h({}) the balancing residual and move it up the chain of {}
     resid[0] = -sum((v for m, v in resid.items() if m and not canon.close[m]), ZERO)
     full = sys.ground.full_mask
-    # ">= 0" rows by first mask, last mask and length, which tell the
-    # two elemental forms apart; a candidate must match term for term
-    rows_of: dict = {}
+    # the first ">= 0" row of each functional
+    ge_zero: dict = {}
     if any(resid.values()):
         for i, c in enumerate(sys.constraints):
-            terms = c.functional.terms
-            if c.relation == GE and terms and not c.rhs:
-                rows_of.setdefault((terms[0][0], terms[-1][0], len(terms)), []).append(i)
+            if c.relation == GE and not c.rhs:
+                ge_zero.setdefault(c.functional.terms, i)
 
     def add(i, mult):
         out[i] = out.get(i, ZERO) + mult
 
     def add_elementals(parts, mult):
         for part in parts:
-            key = (part[0][0], part[-1][0], len(part))
-            found = [i for i in rows_of.get(key, ()) if sys.constraints[i].functional.terms == part]
-            if not found:
+            i = ge_zero.get(part)
+            if i is None:
                 return False
-            add(found[0], mult)
+            add(i, mult)
         return True
 
     for size in range(full.bit_count() + 1):
@@ -817,7 +816,7 @@ def _settle(sys: LinearSystem, objective, warm: bool, steps=(), trace=None,
         verdict = Infeasible({canon.contradiction: ONE if rhs > 0 else -ONE})
     elif not canon.rows and objective is None:
         verdict = Feasible(canon.witness_from([ZERO] * len(canon.cols)))
-    elif warm:
+    elif warm and canon.cols:
         verdict = _elastic_verdict(canon, trace) if objective is None else _optimum(canon, trace)
         path = paths[0]
         start = trace.lap("float", start)

@@ -21,14 +21,17 @@ the complementary sources, determine the demanded sources).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from ._rational import INF, ZERO, format_rational, parse_capacity, rational
 from .core import (
+    INF,
+    ZERO,
     DomainError,
     EntropyVector,
     GroundSet,
@@ -40,6 +43,7 @@ from .core import (
     elemental_inequalities,
     entropy_of,
     entropy_vector_of,
+    format_rational,
     load_json,
 )
 from .lp import (
@@ -53,6 +57,13 @@ from .lp import (
 
 def _is_inf(c) -> bool:
     return c == INF
+
+
+def parse_capacity(text: str):
+    """Parse a capacity field: a rational string or "inf"."""
+    if text.strip().lower() in ("inf", "infinity", "+inf"):
+        return INF
+    return Fraction(text)
 
 
 def edge_var_name(edge_id: str) -> str:
@@ -190,7 +201,7 @@ class CapacityTuple:
     def __post_init__(self):
         vals = {}
         for k, v in dict(self.values).items():
-            c = v if _is_inf(v) else rational(v)
+            c = v if _is_inf(v) else Fraction(v)
             if not _is_inf(c) and c < 0:
                 raise DomainError(f"capacity of {k} is negative")
             vals[k] = c
@@ -198,14 +209,21 @@ class CapacityTuple:
 
     @staticmethod
     def parse(text: str, problem: "NetworkProblem") -> "CapacityTuple":
-        """Parse ``e1=1,e2=1/2`` or positional ``1,1/2,...`` over the
-        problem's finite-capacity edges in declaration order."""
+        """Parse ``e1=1,e2=1/2`` (each id an edge of the problem, at most
+        once) or positional ``1,1/2,...`` over the problem's
+        finite-capacity edges in declaration order."""
         parts = [p.strip() for p in text.split(",") if p.strip()]
         if parts and "=" in parts[0]:
+            edges = {e.id for e in problem.edges}
             vals = {}
             for p in parts:
                 k, _, v = p.partition("=")
-                vals[k.strip()] = parse_capacity(v.strip())
+                k = k.strip()
+                if k not in edges:
+                    raise DomainError(f"capacity for {k!r}, which is not an edge")
+                if k in vals:
+                    raise DomainError(f"capacity for edge {k!r} given twice")
+                vals[k] = parse_capacity(v.strip())
             return CapacityTuple(vals)
         variable = [e.id for e in problem.edges if not _is_inf(e.capacity)]
         if len(parts) != len(variable):
@@ -328,15 +346,13 @@ def build_lp_constraints(
                 h = model.entropy(combo)
             constraints.append(
                 LinearConstraint(
-                    LinearFunctional(((ground.mask(combo), rational(1)),)), "==", h
+                    LinearFunctional(((ground.mask(combo), 1),)), "==", h
                 )
             )
     # constrained aux: template rows as given
     for terms, relation, rhs in aux.constraints:
-        lf = LinearFunctional(
-            tuple((ground.mask(ns), rational(cf)) for cf, ns in terms)
-        )
-        constraints.append(LinearConstraint(lf, relation, rational(rhs)))
+        lf = LinearFunctional(tuple((ground.mask(ns), cf) for cf, ns in terms))
+        constraints.append(LinearConstraint(lf, relation, rhs))
 
     avail = _available_inputs(p, C)
     # encoding: each finite edge is a function of what its tail sees
@@ -358,11 +374,16 @@ def build_lp_constraints(
         cap = effective_capacity(p, C, e)
         u_mask = ground.mask([edge_var_name(e.id)])
         constraints.append(
-            LinearConstraint(LinearFunctional(((u_mask, rational(1)),)), "<=", cap)
+            LinearConstraint(LinearFunctional(((u_mask, 1),)), "<=", cap)
         )
-    for lf in elemental_inequalities(ground.n):
-        constraints.append(LinearConstraint(lf, ">=", 0))
-    return LinearSystem(ground, tuple(constraints))
+    return LinearSystem(ground, tuple(constraints) + _shannon_rows(ground.n))
+
+
+@functools.cache
+def _shannon_rows(n: int) -> tuple[LinearConstraint, ...]:
+    """The elemental inequalities over n variables as ``>= 0`` rows: the
+    same block for every LP over n variables, so it is built once."""
+    return tuple(LinearConstraint(lf, ">=", 0) for lf in elemental_inequalities(n))
 
 
 def _aux_evaluator(dist: JointDistribution, f: AuxFunction) -> Callable[[tuple], str]:
@@ -601,10 +622,10 @@ def example1_problem() -> NetworkProblem:
         .restrict(["Y1", "Y2", "Y3"])
     )
     edges = (
-        Edge("e1", 1, 2, rational(1)),
-        Edge("e2", 1, 3, rational(1)),
-        Edge("e3", 1, 4, rational(1)),
-        Edge("e4", 1, 5, rational(1)),
+        Edge("e1", 1, 2, Fraction(1)),
+        Edge("e2", 1, 3, Fraction(1)),
+        Edge("e3", 1, 4, Fraction(1)),
+        Edge("e4", 1, 5, Fraction(1)),
         Edge("r1", 2, 3, INF),
         Edge("r2", 2, 4, INF),
         Edge("r3", 2, 5, INF),
@@ -714,11 +735,11 @@ def aux_spec_to_json(aux: AuxSpec) -> dict:
         "aux_constraints": [
             {
                 "terms": [
-                    {"coeff": format_rational(rational(cf)), "vars": list(ns)}
+                    {"coeff": format_rational(cf), "vars": list(ns)}
                     for cf, ns in terms
                 ],
                 "relation": rel,
-                "rhs": format_rational(rational(rhs)),
+                "rhs": format_rational(rhs),
             }
             for terms, rel, rhs in aux.constraints
         ],

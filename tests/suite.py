@@ -9,7 +9,7 @@ base LP should reject.
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
-from entrolab._rational import INF, rational
+from entrolab import INF, rational
 from entrolab.core import JointDistribution, uniform_bits
 from entrolab.network import (
     CapacityTuple,

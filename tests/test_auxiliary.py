@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from entrolab._rational import rational
+from entrolab import rational
 from entrolab.core import (
     DomainError,
     JointDistribution,

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrolab._rational import rational
+from entrolab import rational
 from entrolab.core import JointDistribution, binary_entropy_inverse
 from entrolab.recovery import (
     NotIndicatorConsistent,

@@ -173,6 +173,16 @@ def test_bad_capacities_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("capacities, named", [
+    ("E1=0", "'E1', which is not an edge"),
+    ("e1=1,e1=0", "'e1' given twice"),
+])
+def test_capacity_ids_must_name_edges_once(capsys, capacities, named):
+    code, out, err = run(capsys, "example1", "--capacities", capacities)
+    assert code == 1 and not out
+    assert named in err
+
+
 def test_unknown_flag_exit_code(capsys):
     code = main(["example1", "--frobnicate"])
     capsys.readouterr()

@@ -1,10 +1,10 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from entrolab import lp
-from entrolab._rational import rational
+from entrolab import lp, rational
 from entrolab.core import DomainError, EntropyVector, GroundSet, LinearFunctional
 from entrolab.lp import (
     Feasible,
@@ -67,6 +67,37 @@ def test_minimize_and_unbounded():
     s2 = LinearSystem(G1, [LinearConstraint(X, "<=", 5)], objective=X)
     with pytest.raises(DomainError):
         minimize(s2)
+
+
+def test_minimize_with_no_reduced_columns():
+    # h(A) == 0 maps A to the class of the empty set, so the reduced LP
+    # has no columns left for HiGHS; the exact path settles it
+    s = LinearSystem(G1, [LinearConstraint(X, "==", 0)], objective=X)
+    r = minimize(s)
+    assert isinstance(r, Optimal) and r.value == 0 and verify_certificate(s, r)
+
+
+def test_row_format_is_exact_ints_and_fractions():
+    f = LinearFunctional([(1, 0.1), (2, "3/2"), (4, Fraction(4, 2)), (8, 3), (2, "-3/2")])
+    # the float's exact binary value; the cancelling h(B) terms are gone
+    assert f.terms == ((1, Fraction(0.1)), (4, 2), (8, 3))
+    assert f.terms[0][1] != Fraction(1, 10)
+    assert [type(c) for _, c in f.terms] == [Fraction, int, int]
+    g = var_system(4)
+    rows = [LinearConstraint(f, ">=", 1), LinearConstraint(lf([1, 1, 1, 1]), "<=", "5/2")]
+    s = LinearSystem(g, rows, objective=f)
+    for c in s.constraints:
+        assert type(c.rhs) is Fraction
+        assert all(type(v) in (int, Fraction) for _, v in c.functional.terms)
+    bad = LinearSystem(g, rows + [LinearConstraint(f, "<=", 0.5)])
+    feasible, optimal, infeasible = solve_feasibility(s), minimize(s), solve_feasibility(bad)
+    assert isinstance(feasible, Feasible) and verify_certificate(s, feasible)
+    assert isinstance(optimal, Optimal) and optimal.value == 1 and verify_certificate(s, optimal)
+    assert isinstance(infeasible, Infeasible) and verify_certificate(bad, infeasible)
+    exact = [optimal.value]
+    exact += [*feasible.witness.values.values(), *optimal.witness.values.values()]
+    exact += [*optimal.dual_certificate.values(), *infeasible.certificate.values()]
+    assert all(type(v) in (int, Fraction) for v in exact)
 
 
 def test_minimize_requires_objective():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from entrolab._rational import INF, rational
+from entrolab import INF, rational
 from entrolab.core import DomainError, entropy_vector_of, uniform_bits
 from entrolab.lp import Feasible, Infeasible, solve_feasibility, verify_certificate
 from entrolab.network import (

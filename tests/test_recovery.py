@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrolab._rational import rational
+from entrolab import rational
 from entrolab.core import DomainError, JointDistribution, binary_entropy
 from entrolab.recovery import (
     NotIndicatorConsistent,

@@ -15,8 +15,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrolab import lp
-from entrolab._rational import INF, rational
+from entrolab import INF, lp, rational
 from entrolab.auxiliary import pairwise_aux_for_network
 from entrolab.core import JointDistribution, LinearFunctional, uniform_bits
 from entrolab.lp import (

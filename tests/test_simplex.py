@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from entrolab import lp
@@ -78,6 +78,12 @@ def test_cold_verdict_matches_warm(sys_):
 
 
 @given(systems(objective=True))
+@example(LinearSystem(  # a reduced LP with no columns
+    GroundSet(("A",)),
+    [LinearConstraint(LinearFunctional([(1, 1)]), "<=", 1),
+     LinearConstraint(LinearFunctional([(1, 1)]), "==", 0)],
+    LinearFunctional([(1, 1)]),
+))
 @settings(max_examples=100, deadline=None)
 def test_fallback_optimum_matches_minimize(sys_):
     # the unreduced exact path: no FD steps, the simplex alone; an

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import entrolab.lp
-from entrolab._rational import rational
+from entrolab import rational
 from entrolab.auxiliary import pairwise_aux_for_network
 from entrolab.core import GroundSet, JointDistribution, LinearFunctional
 from entrolab.lp import (
