@@ -3,6 +3,7 @@
 Run from anywhere:
 
     python3 scripts/bench.py --label head --seeds 1 2 3
+    python3 scripts/bench.py --label pairs --seeds 11 12 13 --against PARENT_DIR
 
 For each workload and seed this runs ``entrobench/run.py --trace 0`` of a
 checkout (by default the one holding this script) in a fresh process, one
@@ -12,7 +13,17 @@ as entrobench printed it with its elapsed seconds (``run_s``), plus the
 per-workload medians of its metrics. A run that has not finished after
 ``RUN_TIMEOUT_S`` seconds is stopped and recorded as an error; each
 workload's medians carry the count of such runs as ``errors``.
-Compare two labels by running the script once per checkout.
+
+With ``--against DIR`` every workload and seed is a pair: the checkout in
+DIR (the parent) and this one (the change) each run once, and which side
+runs first flips from one pair to the next. Both sides are kept in the
+file (``pairs``, and ``medians`` per side). For each workload and each
+end-to-end metric of the checkout's ``BENCHMARK.json`` (read, never
+written) the script prints each side's median and quartiles, the change
+against the parent median, and the pairs the change won out of those
+that finished, ties counting for neither; it prints "unresolved" when
+the parent's interquartile range exceeds the metric's bound, a fraction
+of the parent's median.
 """
 
 from __future__ import annotations
@@ -85,29 +96,97 @@ def medians(runs: list) -> dict:
     return out
 
 
+def quartiles(values: list) -> tuple:
+    """(first quartile, median, third quartile)."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def compare(pairs: list, metrics: list) -> list:
+    """One printed line per workload and end-to-end metric of the pairs
+    (see the module docstring)."""
+    lines = []
+    for workload in WORKLOADS:
+        done = [p for p in pairs if p["workload"] == workload
+                and "result" in p["parent"] and "result" in p["change"]]
+        if not done:
+            continue
+        for metric in metrics:
+            name, lower = metric["name"], metric["better"] == "lower"
+            sides = {side: [p[side]["result"]["metrics"][name]["value"] for p in done]
+                     for side in ("parent", "change")}
+            wins = sum((c < a) if lower else (c > a)
+                       for a, c in zip(sides["parent"], sides["change"]))
+            (p1, pm, p3), (c1, cm, c3) = (quartiles(sides[s]) for s in ("parent", "change"))
+            change = (cm - pm) / pm if pm else float("nan")
+            spread = (p3 - p1) / pm if pm else float("nan")
+            verdict = "unresolved" if spread > metric["bound"] else ""
+            lines.append(
+                f"{workload:11s} {name:11s} parent {pm:.3f} [{p1:.3f}, {p3:.3f}]  "
+                f"change {cm:.3f} [{c1:.3f}, {c3:.3f}]  {change:+.1%}  "
+                f"wins {wins}/{len(done)}  parent IQR {spread:.1%} of median "
+                f"(bound {metric['bound']:.0%}) {verdict}".rstrip())
+    return lines
+
+
+def run_pairs(parent: Path, change: Path, seeds: list) -> list:
+    pairs = []
+    for seed in seeds:
+        for workload in WORKLOADS:
+            order = ("parent", "change") if len(pairs) % 2 == 0 else ("change", "parent")
+            pair = {"workload": workload, "seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_one(parent if side == "parent" else change, workload, seed)
+            pairs.append(pair)
+            shown = {side: pair[side].get("result", {}).get("metrics", {})
+                     .get("wall_s", {}).get("value") for side in order}
+            print(f"{workload} seed={seed}: wall_s {shown}", file=sys.stderr)
+    return pairs
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--checkout", type=Path, default=HERE,
                     help="checkout whose entrobench/run.py and src/ are run")
+    ap.add_argument("--against", type=Path,
+                    help="parent checkout: run pairs, alternating which side goes first")
     args = ap.parse_args(argv)
 
     checkout = args.checkout.resolve()
-    runs = []
-    for seed in args.seeds:
-        for workload in WORKLOADS:
-            run = run_one(checkout, workload, seed)
-            runs.append(run)
-            shown = run.get("result", {}).get("metrics", {}).get("wall_s", {}).get("value")
-            print(f"{workload} seed={seed}: wall_s={shown}", file=sys.stderr)
-    report = {
-        "label": args.label,
-        "commit": git_commit(checkout),
-        "machine": {"cores": os.cpu_count(), "python": platform.python_version()},
-        "medians": medians(runs),
-        "runs": runs,
-    }
+    machine = {"cores": os.cpu_count(), "python": platform.python_version()}
+    if args.against is not None:
+        parent = args.against.resolve()
+        pairs = run_pairs(parent, checkout, args.seeds)
+        report = {
+            "label": args.label,
+            "commit": git_commit(checkout),
+            "parent_commit": git_commit(parent),
+            "machine": machine,
+            "medians": {side: medians([p[side] for p in pairs]) for side in ("parent", "change")},
+            "pairs": pairs,
+        }
+        metrics = json.loads((checkout / "BENCHMARK.json").read_text())["end_to_end"]
+        print("\n".join(compare(pairs, metrics)))
+        runs = [p[side] for p in pairs for side in ("parent", "change")]
+    else:
+        runs = []
+        for seed in args.seeds:
+            for workload in WORKLOADS:
+                run = run_one(checkout, workload, seed)
+                runs.append(run)
+                shown = run.get("result", {}).get("metrics", {}).get("wall_s", {}).get("value")
+                print(f"{workload} seed={seed}: wall_s={shown}", file=sys.stderr)
+        report = {
+            "label": args.label,
+            "commit": git_commit(checkout),
+            "machine": machine,
+            "medians": medians(runs),
+            "runs": runs,
+        }
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)

@@ -1,4 +1,5 @@
-"""Print one sha256 per bound workload over every LP verdict a benchmark run returns.
+"""Print one sha256 per bound workload over every LP verdict a benchmark run returns,
+and one over every delta* row the runs build.
 
 Run from anywhere:
 
@@ -14,6 +15,10 @@ form: the type name, the witness values sorted by mask and the
 certificate items sorted by constraint index, each value written as "a"
 or "a/b". A workload's digest covers its seeds in the order given, so two
 checkouts that print the same digests returned the same exact verdicts.
+The ``delta`` line is one digest over every row that
+``pairwise_aux_for_network(..., "delta")`` returns in the ``bound-small``
+and then the ``bound-cold`` runs, each row with its bound d written as
+"a/b", so a changed d shows even where no certificate uses its row.
 Run the script once per checkout; each run imports one checkout only.
 """
 
@@ -26,6 +31,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 WORKLOADS = ("bound-large", "bound-small", "bound-cold")
+DELTA_WORKLOADS = ("bound-small", "bound-cold")
 RUN_SECONDS = 20.0  # the benchmark's run length, which fixes the number of batches
 
 
@@ -53,20 +59,28 @@ def main(argv=None) -> int:
     import run  # the checkout's entrobench/run.py: its package loader and batch seeds
 
     wl = run.load_package()
+    from entrolab.auxiliary import pairwise_aux_for_network
     from entrolab.lp import solve_feasibility
 
     class Recorder(wl.Tracer):
-        """The benchmark's tracer, off, keeping each verdict's canonical form."""
+        """The benchmark's tracer, off, keeping each verdict's canonical
+        form and each delta* row."""
 
         def __init__(self):
             super().__init__(enabled=False)
             self.verdicts: list[str] = []
+            self.delta_rows: list[str] = []
 
         def call(self, name, fn, *a, **kw):
             out = super().call(name, fn, *a, **kw)
             if fn is solve_feasibility:
                 self.verdicts.append(canonical(out))
+            elif fn is pairwise_aux_for_network and a[1:2] == ("delta",):
+                self.delta_rows += [repr((terms, rel, str(d))) for terms, rel, d in out[1]]
             return out
+
+    delta = hashlib.sha256()
+    delta_count = 0
 
     for workload in WORKLOADS:
         make, run_batch = wl.WORKLOADS[workload]
@@ -86,7 +100,12 @@ def main(argv=None) -> int:
                 digest.update(line.encode() + b"\n")
             count += len(tr.verdicts)
             failed += ledger.failed
+            if workload in DELTA_WORKLOADS:
+                for line in tr.delta_rows:
+                    delta.update(line.encode() + b"\n")
+                delta_count += len(tr.delta_rows)
         print(f"{workload} {digest.hexdigest()} verdicts={count} failed_ops={failed}")
+    print(f"delta {delta.hexdigest()} rows={delta_count}")
     return 0
 
 

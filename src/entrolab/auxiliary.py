@@ -132,6 +132,62 @@ def _delta_components(classes, probs, q, k_size):
     return h_given[0], h_given[1], max(ixy_k, 0.0)
 
 
+class _DeltaSums:
+    """max(H(K|X), H(K|Y), I(X;Y|K)) of conditional rows ``q`` from
+    running sums of ``_plogp`` over the joint masses P(X,K), P(Y,K),
+    P(X,Y,K) and P(K): H(K|X) = H(XK) - H(X), H(K|Y) = H(YK) - H(Y) and
+    I(X;Y|K) = H(XK) + H(YK) - H(XYK) - H(K). Moving one row changes
+    only k entries of each sum, so ``moved`` makes O(k) ``_plogp`` calls
+    where ``_delta_components`` makes O(|pairs| k)."""
+
+    def __init__(self, classes, probs, k_size):
+        self.classes, self.probs, self.k_size = classes, probs, k_size
+        x_of, y_of = ({i: c for c, cls in enumerate(side) for i in cls} for side in classes)
+        self.where = [(x_of[i], y_of[i]) for i in range(len(probs))]
+        self.h_x, self.h_y = (
+            sum(_plogp(sum(probs[i] for i in cls)) for cls in side) for side in classes
+        )
+
+    def reset(self, q) -> float:
+        """Rebuild the sums from ``q``; returns its score."""
+        probs, ks = self.probs, range(self.k_size)
+        # [mass, _plogp(mass)] per entry of P(X,K), P(Y,K) and P(K)
+        self.xk, self.yk = (
+            [[_entry(sum(probs[i] * q[i][c] for i in cls)) for c in ks] for cls in side]
+            for side in self.classes
+        )
+        self.k = [_entry(sum(p * row[c] for p, row in zip(probs, q))) for c in ks]
+        self.sums = (
+            sum(e[1] for side in self.xk for e in side),
+            sum(e[1] for side in self.yk for e in side),
+            sum(_plogp(p * v) for p, row in zip(probs, q) for v in row),
+            sum(e[1] for e in self.k),
+        )
+        return self._max(*self.sums)
+
+    def _max(self, s_xk, s_yk, s_xyk, s_k):
+        return max(s_xk - self.h_x, s_yk - self.h_y, max(s_xk + s_yk - s_xyk - s_k, 0.0))
+
+    def moved(self, i, old, new) -> float:
+        """The score with row ``i`` of q moved from ``old`` to ``new``."""
+        p = self.probs[i]
+        cx, cy = self.where[i]
+        xk, yk = self.xk[cx], self.yk[cy]
+        s_xk, s_yk, s_xyk, s_k = self.sums
+        for c, (a, b) in enumerate(zip(old, new)):
+            if a != b:
+                d = p * (b - a)
+                s_xk += _plogp(xk[c][0] + d) - xk[c][1]
+                s_yk += _plogp(yk[c][0] + d) - yk[c][1]
+                s_xyk += _plogp(p * b) - _plogp(p * a)
+                s_k += _plogp(self.k[c][0] + d) - self.k[c][1]
+        return self._max(s_xk, s_yk, s_xyk, s_k)
+
+
+def _entry(mass: float) -> tuple[float, float]:
+    return mass, _plogp(mass)
+
+
 def delta_star_search(
     dist: JointDistribution,
     k_alphabet: Optional[int] = None,
@@ -187,10 +243,12 @@ def delta_star_search(
     def score(q):
         return max(_delta_components(classes, probs, q, k))
 
+    sums = _DeltaSums(classes, probs, k)
     best_q, best = None, math.inf
     for q in starts:
         q = [tuple(r) for r in q]
-        val = score(q)
+        val = sums.reset(q)
+        full = None  # score(q), computed only when a move is too close to call
         improved = True
         while improved:
             improved = False
@@ -201,14 +259,27 @@ def delta_star_search(
                     for step in range(1, resolution + 1):
                         w = step / resolution
                         row = tuple((1 - w) * a + w * b for a, b in zip(cur_row, e))
-                        q[i] = row
-                        v = score(q)
-                        if v < val - 1e-12:
-                            val, cur_row, improved = v, row, True
-                        else:
+                        if row == cur_row:
+                            continue  # the same q: no improvement
+                        v = sums.moved(i, cur_row, row)
+                        margin = v - (val - 1e-12)
+                        moved_full = None
+                        if abs(margin) <= 1e-9:
+                            # decide a close call as the full rescoring does
+                            if full is None:
+                                full = score(q)
+                            q[i] = row
+                            moved_full = score(q)
                             q[i] = cur_row
-        if val < best:
-            best, best_q = val, q
+                            margin = moved_full - (full - 1e-12)
+                        if margin < 0:
+                            q[i] = cur_row = row
+                            improved = True
+                            val, full = sums.reset(q), moved_full
+        if full is None:
+            full = score(q)
+        if full < best:
+            best, best_q = full, q
     comps = _delta_components(classes, probs, best_q, k)
     return DeltaSearchResult(best, tuple(best_q), tuple(pairs), comps)
 

@@ -52,6 +52,7 @@ sum lam_i * b_i > 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from time import perf_counter
@@ -106,11 +107,12 @@ class LinearSystem:
 
     def __init__(self, ground, constraints, objective=None):
         constraints = tuple(constraints)
+        # terms are sorted by ascending mask: the last is the largest
         limit = ground.full_mask
         for c in constraints:
-            if any(mask > limit for mask, _ in c.functional.terms):
+            if c.functional.terms and c.functional.terms[-1][0] > limit:
                 raise DomainError("constraint references a subset outside the ground set")
-        if objective is not None and any(m > limit for m, _ in objective.terms):
+        if objective is not None and objective.terms and objective.terms[-1][0] > limit:
             raise DomainError("objective references a subset outside the ground set")
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "constraints", constraints)
@@ -522,8 +524,24 @@ def _combination(rows, lam: Mapping[int, object]):
     return {j: v for j, v in combo.items() if v != 0}, total
 
 
-def _verify_point(rows, x) -> bool:
-    return all(_holds(_row_dot(terms, x), rel, rhs) for terms, rel, rhs in rows)
+def _point_holds(rows, point) -> bool:
+    """Every row ``(terms, rel, rhs)`` holds at ``point``, a mapping or a
+    sequence from a term's key to its value (a key it lacks reads 0),
+    checked over one integer denominator: the values are scaled once to
+    ints over their least common denominator D, a row's left-hand side
+    is then an int sum, and it holds against rhs = p/q when ``lhs * q``
+    rel ``p * D`` does. A row with a non-integral coefficient sums as a
+    Fraction. A value that is neither an int nor a Fraction is first
+    converted exactly with ``Fraction``."""
+    items = point.items() if isinstance(point, Mapping) else enumerate(point)
+    exact = {key: v if isinstance(v, (int, Fraction)) else Fraction(v) for key, v in items}
+    den = math.lcm(*{v.denominator for v in exact.values()})
+    scaled = {key: v.numerator * (den // v.denominator) for key, v in exact.items()}
+    for terms, rel, rhs in rows:
+        lhs = sum(v * scaled.get(m, 0) for m, v in terms)
+        if not _holds(lhs * rhs.denominator, rel, rhs.numerator * den):
+            return False
+    return True
 
 
 def _exact_multipliers(canon: _Canon, lam_float, target, value):
@@ -634,7 +652,7 @@ def _exact_point_from_float(canon: _Canon, x_float):
     """Exactify a float point: solve the active rows exactly, anchored at
     the rationalized float solution, then verify everything."""
     anchor = _rationalize(x_float)
-    if _verify_point(canon.rows, anchor):
+    if _point_holds(canon.rows, anchor):
         return anchor
     active_rows, active_rhs = [], []
     for terms, rel, rhs in canon.rows:
@@ -645,7 +663,7 @@ def _exact_point_from_float(canon: _Canon, x_float):
         active_rows.append(dict(terms))
         active_rhs.append(rhs)
     x = _anchored_solve(active_rows, active_rhs, anchor)
-    if x is not None and _verify_point(canon.rows, x):
+    if x is not None and _point_holds(canon.rows, x):
         return x
     return None
 
@@ -878,11 +896,7 @@ def verify_certificate(sys: LinearSystem, result) -> bool:
     rows = [(c.functional.terms, c.relation, c.rhs) for c in sys.constraints]
     if not isinstance(result, Infeasible):
         # row masks are range-checked when the system is built
-        h = result.witness.values
-        if result.witness.ground != sys.ground or not all(
-            _holds(sum((v * h.get(m, ZERO) for m, v in terms), ZERO), rel, rhs)
-            for terms, rel, rhs in rows
-        ):
+        if result.witness.ground != sys.ground or not _point_holds(rows, result.witness.values):
             return False
         if isinstance(result, Feasible):
             return True

@@ -186,6 +186,17 @@ def test_constraint_outside_ground_rejected():
         LinearSystem(G1, [LinearConstraint(far, ">=", 0)])
 
 
+def test_multi_term_row_reaching_outside_ground_rejected():
+    # only the last (largest) mask of a row is outside the ground set
+    g = var_system(2)
+    row = LinearFunctional([(1, 1), (2, -1), (1 << 2, 1)])
+    inside = LinearConstraint(lf([1, 1]), ">=", 0)
+    with pytest.raises(DomainError):
+        LinearSystem(g, [inside, LinearConstraint(row, "<=", 1)])
+    with pytest.raises(DomainError):
+        LinearSystem(g, [inside], objective=row)
+
+
 def test_scale_invariance_of_verdict():
     g = var_system(2)
     rows = [
