@@ -7,7 +7,7 @@ Run from anywhere:
 
 For each workload and seed this runs ``entrobench/run.py --trace 0`` of a
 checkout (by default the one holding this script) in a fresh process, one
-at a time, and writes ``BENCH_<label>.json`` to the current directory: the
+at a time, and writes ``BENCH_<label>.json`` to the current directory: each
 checkout's commit, the machine (cores, Python), and each run's result line
 as entrobench printed it with its elapsed seconds (``run_s``), plus the
 per-workload medians of its metrics. A run that has not finished after
@@ -16,8 +16,9 @@ workload's medians carry the count of such runs as ``errors``.
 
 With ``--against DIR`` every workload and seed is a pair: the checkout in
 DIR (the parent) and this one (the change) each run once, and which side
-runs first flips from one pair to the next. Both sides are kept in the
-file (``pairs``, and ``medians`` per side). For each workload and each
+runs first flips from one seed to the next, so each workload alternates
+its order. Without it only the change side runs. Every side is kept in
+the file (``pairs``, and ``medians`` per side). For each workload and each
 end-to-end metric of the checkout's ``BENCHMARK.json`` (read, never
 written) the script prints each side's median and quartiles, the change
 against the parent median, and the pairs the change won out of those
@@ -131,14 +132,18 @@ def compare(pairs: list, metrics: list) -> list:
     return lines
 
 
-def run_pairs(parent: Path, change: Path, seeds: list) -> list:
+def run_pairs(sides: dict, seeds: list) -> list:
+    """For each seed and workload, one pair holding a run of each side
+    (name -> checkout). The order of the sides flips from one seed to the
+    next, so within each workload the side that runs first alternates."""
+    names = list(sides)
     pairs = []
-    for seed in seeds:
+    for i, seed in enumerate(seeds):
+        order = names if i % 2 == 0 else names[::-1]
         for workload in WORKLOADS:
-            order = ("parent", "change") if len(pairs) % 2 == 0 else ("change", "parent")
             pair = {"workload": workload, "seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_one(parent if side == "parent" else change, workload, seed)
+                pair[side] = run_one(sides[side], workload, seed)
             pairs.append(pair)
             shown = {side: pair[side].get("result", {}).get("metrics", {})
                      .get("wall_s", {}).get("value") for side in order}
@@ -157,40 +162,24 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     checkout = args.checkout.resolve()
-    machine = {"cores": os.cpu_count(), "python": platform.python_version()}
+    sides = {"change": checkout}
     if args.against is not None:
-        parent = args.against.resolve()
-        pairs = run_pairs(parent, checkout, args.seeds)
-        report = {
-            "label": args.label,
-            "commit": git_commit(checkout),
-            "parent_commit": git_commit(parent),
-            "machine": machine,
-            "medians": {side: medians([p[side] for p in pairs]) for side in ("parent", "change")},
-            "pairs": pairs,
-        }
+        sides = {"parent": args.against.resolve(), **sides}
+    pairs = run_pairs(sides, args.seeds)
+    report = {
+        "label": args.label,
+        "commits": {side: git_commit(path) for side, path in sides.items()},
+        "machine": {"cores": os.cpu_count(), "python": platform.python_version()},
+        "medians": {side: medians([p[side] for p in pairs]) for side in sides},
+        "pairs": pairs,
+    }
+    if "parent" in sides:
         metrics = json.loads((checkout / "BENCHMARK.json").read_text())["end_to_end"]
         print("\n".join(compare(pairs, metrics)))
-        runs = [p[side] for p in pairs for side in ("parent", "change")]
-    else:
-        runs = []
-        for seed in args.seeds:
-            for workload in WORKLOADS:
-                run = run_one(checkout, workload, seed)
-                runs.append(run)
-                shown = run.get("result", {}).get("metrics", {}).get("wall_s", {}).get("value")
-                print(f"{workload} seed={seed}: wall_s={shown}", file=sys.stderr)
-        report = {
-            "label": args.label,
-            "commit": git_commit(checkout),
-            "machine": machine,
-            "medians": medians(runs),
-            "runs": runs,
-        }
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
-    return 0 if all("result" in r for r in runs) else 1
+    return 0 if all("result" in p[side] for p in pairs for side in sides) else 1
 
 
 if __name__ == "__main__":

@@ -532,9 +532,13 @@ def _point_holds(rows, point) -> bool:
     is then an int sum, and it holds against rhs = p/q when ``lhs * q``
     rel ``p * D`` does. A row with a non-integral coefficient sums as a
     Fraction. A value that is neither an int nor a Fraction is first
-    converted exactly with ``Fraction``."""
+    converted exactly with ``Fraction``; a point holding a value with no
+    exact rational (an infinity or a nan) holds no system."""
     items = point.items() if isinstance(point, Mapping) else enumerate(point)
-    exact = {key: v if isinstance(v, (int, Fraction)) else Fraction(v) for key, v in items}
+    try:
+        exact = {key: v if isinstance(v, (int, Fraction)) else Fraction(v) for key, v in items}
+    except (OverflowError, ValueError):
+        return False
     den = math.lcm(*{v.denominator for v in exact.values()})
     scaled = {key: v.numerator * (den // v.denominator) for key, v in exact.items()}
     for terms, rel, rhs in rows:

@@ -5,7 +5,8 @@ rows, sum lam_i a_i = 0, sum lam_i b_i > 0, a witness that misses a
 ``>=``, a ``<=`` or an ``==`` row by 2^-80, an Optimal whose witness
 misses a row, and an Optimal whose dual certifies another value or
 another objective. Then witnesses that reach the check over one common
-denominator: mixed denominators, a Fraction coefficient, float values.
+denominator: mixed denominators, a Fraction coefficient, float values,
+and non-finite floats, which are rejected rather than raised.
 Last, a property: a verified answer to a random small system, tampered
 with once, is accepted exactly when ``dense_check`` accepts it.
 ``dense_check`` re-checks a result with dense Fraction vectors and uses
@@ -144,6 +145,14 @@ def test_float_witness_values_are_taken_exactly():
     # 3 * 0.1 rounds to 0.30000000000000004 in floats; exactly it is 3 * Fraction(0.1)
     tripled = system(1, [([3], "==", 3 * Fraction(0.1))])
     assert verify_certificate(tripled, Feasible(point(1, 0.1)))
+
+
+def test_non_finite_witness_values_are_rejected_not_raised():
+    # inf would pass the >= row in float arithmetic; no exact point holds it
+    s = system(2, [([1, 0], ">=", 0)])
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        assert not verify_certificate(s, Feasible(point(2, bad, 0)))
+        assert not verify_certificate(s, Feasible(point(2, 1, bad)))  # a value no row reads
 
 
 # --- a dense re-check, and the property ---------------------------------------------
