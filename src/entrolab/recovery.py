@@ -20,6 +20,7 @@ import functools
 import itertools
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -51,26 +52,71 @@ def _subset_sums(probs: Sequence[float]) -> tuple[float, ...]:
     return tuple(sums)
 
 
-def _partition_entropy(sums: Sequence[float], masks: Sequence[int]) -> float:
+def _plogp_table(sums: Sequence[float]) -> tuple[float, ...]:
+    """``table[mask] = -(g * log2 g)`` for ``g = sums[mask]``; 0 at the
+    empty mask. Adding an entry gives the float that subtracting
+    ``g * log2 g`` gives, since h - x and h + (-x) round alike."""
+    return (0.0,) + tuple(-(g * math.log2(g)) for g in sums[1:])
+
+
+def _partition_entropy(plogp: Sequence[float], masks: Sequence[int]) -> float:
     """Entropy of the joint of the indicators ``masks``: the entropy of
-    the partition of the atoms they induce, with block masses read from
-    the subset-sum table ``sums`` of the atom probabilities.
+    the partition of the atoms they induce, each block's term read from
+    the table ``plogp`` of ``-g log2 g`` over the subset sums ``g`` of
+    the atom probabilities.
 
     Blocks are taken in the order of their smallest atom, each the
     intersection of the masks (or their complements) that hold that
     atom, so every float is the one a signature-grouping loop over the
     atoms computes, in the same order."""
     h = 0.0
-    rest = len(sums) - 1
+    rest = len(plogp) - 1
     while rest:
         low = rest & -rest
         block = rest
         for m in masks:
             block &= m if low & m else ~m
-        g = sums[block]
-        h -= g * math.log2(g)
+        h += plogp[block]
         rest ^= block
     return h
+
+
+# The pair table holds (2^(n-1) - 1)^2 floats: 2.1 MB at n = 10, and four
+# times as much for each atom more, so larger families query pairs one
+# at a time.
+PAIR_TABLE_MAX_ATOMS = 10
+_PAIR_ROWS = 16  # rows per chunk while the pair table is built
+
+
+def _pair_table(plogp: Sequence[float], masks: Sequence[int]) -> array:
+    """``_partition_entropy(plogp, [masks[i], masks[j]])`` at ``i * m + j``
+    for every ordered pair over the ``m`` masks, none of which holds
+    atom 0.
+
+    The complement of a|b holds atom 0, so its term comes first; the
+    other nonempty blocks among a&b, a&~b and ~a&b follow by their
+    lowest atom, empty blocks last (their term 0.0 leaves the positive
+    sum as it is)."""
+    import numpy as np
+
+    n = (len(plogp) - 1).bit_length()
+    full = (1 << n) - 1
+    terms = np.array(plogp)
+    col = np.array(masks, dtype=np.int64)
+    table = array("d", [0.0]) * (len(masks) * len(masks))
+    out = np.frombuffer(table, dtype=np.float64).reshape(len(masks), len(masks))
+    last = np.int64(1 << (2 * n))  # sorts after any lowest atom
+    for start in range(0, len(masks), _PAIR_ROWS):
+        a = col[start:start + _PAIR_ROWS, None]
+        rest = np.stack(np.broadcast_arrays(a & col, a & ~col, ~a & col), axis=-1)
+        key = np.where(rest != 0, (rest & -rest) << n | rest, last)
+        key.sort(axis=-1)
+        block = key & full
+        h = terms[full & ~(a | col)]
+        for k in range(3):
+            h = h + terms[block[..., k]]
+        out[start:start + _PAIR_ROWS] = h
+    return table
 
 
 @dataclass(frozen=True)
@@ -89,11 +135,26 @@ class IndicatorFamily:
         return len(self.probabilities)
 
     @functools.cached_property
-    def _sums(self) -> tuple[float, ...]:
-        return _subset_sums(self.probabilities)
+    def _plogp(self) -> tuple[float, ...]:
+        return _plogp_table(_subset_sums(self.probabilities))
+
+    @functools.cached_property
+    def _pairs(self) -> Optional[tuple[dict[str, int], dict[str, int], array]]:
+        """The entropy of every ordered pair of members, read at
+        ``rows[a] + cols[b]``; built on the first pair query, and None
+        above ``PAIR_TABLE_MAX_ATOMS``."""
+        if self.n > PAIR_TABLE_MAX_ATOMS:
+            return None
+        m = len(self.labels)
+        cols = {label: i for i, label in enumerate(self.labels)}
+        rows = {label: i * m for label, i in cols.items()}
+        return rows, cols, _pair_table(self._plogp, [self.masks[l] for l in self.labels])
 
     def entropy(self, members: Sequence[str]) -> float:
-        return _partition_entropy(self._sums, [self.masks[m] for m in members])
+        if len(members) == 2 and self._pairs is not None:
+            rows, cols, table = self._pairs
+            return table[rows[members[0]] + cols[members[1]]]
+        return _partition_entropy(self._plogp, [self.masks[m] for m in members])
 
 
 def _check_sorted_positive(probs) -> tuple[float, ...]:
@@ -236,7 +297,10 @@ def _has_chain(
                     return True
         return False
 
-    return extend((), entropy(list(base)))
+    try:
+        return extend((), entropy(list(base)))
+    finally:
+        del extend  # it refers to itself; without this every call leaves a cycle
 
 
 def _selection_walk(

@@ -6,9 +6,11 @@ search and recovery that predate the memoised, singleton-guided search;
 partition oracle replaced. The package must agree with them exactly.
 """
 
+import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from entrolab import rational
 from entrolab.core import JointDistribution, binary_entropy_inverse
 from entrolab.recovery import (
+    PAIR_TABLE_MAX_ATOMS,
     NotIndicatorConsistent,
     RecoveredDistribution,
     RecoveryInput,
@@ -26,6 +29,7 @@ from entrolab.recovery import (
     build_multivar_indicators,
     check_permutation_equivalence,
     recover_distribution,
+    recover_multivar,
 )
 
 TOL = 1e-9
@@ -266,6 +270,28 @@ def test_family_oracle_is_bit_identical(n, tied, seed):
         assert fam.entropy(members) == atom_signature_entropy(fam.probabilities, masks)
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_pair_table_is_bit_identical_on_every_ordered_pair(n):
+    rng = random.Random(n)
+    fam = build_indicator_family(pmf(rng, n, tied=True))
+    for a, b in itertools.product(fam.labels, repeat=2):
+        expected = atom_signature_entropy(fam.probabilities, [fam.masks[a], fam.masks[b]])
+        assert fam.entropy([a, b]).hex() == expected.hex(), (a, b)
+
+
+@pytest.mark.parametrize("n", [PAIR_TABLE_MAX_ATOMS, PAIR_TABLE_MAX_ATOMS + 1])
+def test_pairs_at_and_above_the_table_cap_are_bit_identical(n):
+    rng = random.Random(n)
+    for tied in (True, False):
+        fam = build_indicator_family(pmf(rng, n, tied))
+        labels = fam.labels
+        pairs = [(l, l) for l in rng.sample(labels, 50)]
+        pairs += [tuple(rng.sample(labels, 2)) for _ in range(2000)]
+        for a, b in pairs:
+            expected = atom_signature_entropy(fam.probabilities, [fam.masks[a], fam.masks[b]])
+            assert fam.entropy([a, b]).hex() == expected.hex(), (a, b)
+
+
 def joint_3x3(weights):
     total = sum(weights)
     cells = itertools.product("012", repeat=2)
@@ -298,3 +324,27 @@ def test_multivar_oracle_is_bit_identical(weights, seed):
         members = rng.sample(mi.labels, rng.randint(1, 6))
         expected = atom_signature_entropy(flat, [masks[m] for m in members])
         assert mi.entropy(members) == expected
+
+
+# --- no reference cycles ----------------------------------------------------------
+
+
+def test_recoveries_free_their_family_without_the_cyclic_collector():
+    """Once a recovery returns, nothing it made keeps the family (and its
+    pair table) alive: reference counting alone frees it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fam = build_indicator_family(pmf(random.Random(5), 5, tied=False))
+        ref = weakref.ref(fam)
+        recover_distribution(RecoveryInput.from_family(fam, shuffle_seed=5))
+        del fam
+        assert ref() is None
+        inp = build_multivar_indicators(joint_3x3([1, 2, 3, 4, 5, 6, 7, 8, 9]))
+        ref = weakref.ref(inp.entropy.__self__)
+        recover_multivar(inp)
+        del inp
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

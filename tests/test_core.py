@@ -2,7 +2,7 @@ import itertools
 import math
 import random
 
-
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,6 +160,57 @@ def test_binary_entropy_inverse_round_trip(q):
 def test_binary_entropy_inverse_monotone(a, b):
     lo, hi = sorted((a, b))
     assert binary_entropy_inverse(lo) <= binary_entropy_inverse(hi) + 1e-12
+
+
+def old_binary_entropy_inverse(delta):
+    """Verbatim copy of the inverse before its float stage: all seventy
+    bisection steps in 40 digits."""
+    delta = float(delta)
+    if not 0.0 <= delta <= 1.0:
+        raise DomainError(f"entropy {delta} outside [0, 1]")
+    if delta == 0.0:
+        return 0.0
+    with mpmath.workdps(40):
+        target = mpmath.mpf(delta)
+
+        def h(q):
+            return -q * mpmath.log(q, 2) - (1 - q) * mpmath.log(1 - q, 2)
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf("0.5")
+        for _ in range(70):
+            mid = (lo + hi) / 2
+            if h(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
+
+
+def same_float(a, b):
+    return a.hex() == b.hex()
+
+
+EDGE_DELTAS = (
+    [0.0, 1.0, 1.0 - 2.0**-53, 2.0**-1074]
+    + [binary_entropy(2.0**-k) for k in range(1, 80)]
+    + [binary_entropy(0.5 - 2.0**-k) for k in range(2, 54)]
+    + [1.0 - k * 2.0**-53 for k in range(2, 64)]  # where h_b is flattest
+)
+
+
+def test_binary_entropy_inverse_matches_old_bisection_at_edges():
+    for delta in EDGE_DELTAS:
+        assert same_float(binary_entropy_inverse(delta), old_binary_entropy_inverse(delta)), delta
+
+
+@given(st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=0.5).map(binary_entropy),
+    st.integers(min_value=0, max_value=1 << 20).map(lambda k: 1.0 - k * 2.0**-53),
+))
+@settings(max_examples=300, deadline=None)
+def test_binary_entropy_inverse_matches_old_bisection(delta):
+    assert same_float(binary_entropy_inverse(delta), old_binary_entropy_inverse(delta))
 
 
 def test_binary_entropy_domain():
