@@ -6,9 +6,10 @@ Run from anywhere:
     python3 scripts/verdict_digest.py --seeds 1 2 3 [--checkout DIR]
 
 For each workload (``bound-large``, ``bound-small``, ``bound-cold``,
-``recover``) and seed this performs what ``entrobench/run.py --seconds 20`` performs in
-a checkout (by default the one holding this script): the warm-up and every
-batch, with the checkout's own ``entrobench`` code and package source.
+``recover``) and seed this performs what ``entrobench/run.py --seconds
+20`` performs in a checkout (by default the one holding this script): the
+warm-up and every batch, with the checkout's own ``entrobench`` code and
+package source.
 Each ``solve_feasibility`` call, warm or cold, is observed from outside
 through the benchmark's tracer, and its verdict is put in a canonical
 form: the type name, the witness values sorted by mask and the
@@ -65,7 +66,8 @@ def canonical_recovery(out) -> str:
             return [form(x) for x in v]
         return v
 
-    return repr([type(out).__name__] + [form(getattr(out, f.name)) for f in dataclasses.fields(out)])
+    fields = [form(getattr(out, f.name)) for f in dataclasses.fields(out)]
+    return repr([type(out).__name__] + fields)
 
 
 def main(argv=None) -> int:
