@@ -52,13 +52,6 @@ def _subset_sums(probs: Sequence[float]) -> tuple[float, ...]:
     return tuple(sums)
 
 
-def _plogp_table(sums: Sequence[float]) -> tuple[float, ...]:
-    """``table[mask] = -(g * log2 g)`` for ``g = sums[mask]``; 0 at the
-    empty mask. Adding an entry gives the float that subtracting
-    ``g * log2 g`` gives, since h - x and h + (-x) round alike."""
-    return (0.0,) + tuple(-(g * math.log2(g)) for g in sums[1:])
-
-
 def _partition_entropy(plogp: Sequence[float], masks: Sequence[int]) -> float:
     """Entropy of the joint of the indicators ``masks``: the entropy of
     the partition of the atoms they induce, each block's term read from
@@ -136,7 +129,11 @@ class IndicatorFamily:
 
     @functools.cached_property
     def _plogp(self) -> tuple[float, ...]:
-        return _plogp_table(_subset_sums(self.probabilities))
+        """``-(g * log2 g)`` for each subset sum g, 0 at the empty mask.
+        Adding an entry gives the float that subtracting ``g * log2 g``
+        gives, since h - x and h + (-x) round alike."""
+        sums = _subset_sums(self.probabilities)
+        return (0.0,) + tuple(-(g * math.log2(g)) for g in sums[1:])
 
     @functools.cached_property
     def _pairs(self) -> Optional[tuple[dict[str, int], dict[str, int], array]]:
